@@ -33,7 +33,6 @@ from .linalg import (
     partial_transpose,
     reduced_state,
     schmidt_coefficients,
-    transpose_subsystem,
 )
 from .majorization import (
     is_doubly_stochastic,
@@ -47,7 +46,6 @@ from .monotones import (
     concurrence_lower_bound,
     monotone_report,
     neg_pnorm,
-    neg_power_sum,
     negative_eigenvalues,
     negativity,
     pure_concurrence,
@@ -113,7 +111,6 @@ __all__ = [
     "mixing_parameter",
     "monotone_report",
     "neg_pnorm",
-    "neg_power_sum",
     "negative_eigenvalues",
     "negativity",
     "numerical_rank",
@@ -132,6 +129,5 @@ __all__ = [
     "state_from_dict",
     "state_to_dict",
     "tangle_lower_bound",
-    "transpose_subsystem",
     "weakly_submajorizes",
 ]

@@ -109,6 +109,10 @@ class DensityMatrix:
     construction; the stored array is a read-only copy, so instances are
     immutable and safe to share across threads.
 
+    Gram products ``F^T F^*`` built by :meth:`PureState.to_density` and
+    :func:`entmono.tcm.reduce_atom_field` skip only the positivity check, an
+    O(D^3) eigensolve that cannot fail on a Gram product.
+
     Parameters
     ----------
     mat : array_like
@@ -121,17 +125,27 @@ class DensityMatrix:
 
     def __init__(self, mat, dims, *, herm_tol: float = HERM_TOL,
                  trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TOL):
+        self._store(mat, dims, herm_tol, trace_tol)
+        w = np.linalg.eigvalsh(self.mat)
+        if w[0] < -psd_tol:
+            raise ValueError(
+                f"density matrix has eigenvalue {w[0]:.3e} below -psd_tol ({-psd_tol:g})"
+            )
+
+    @classmethod
+    def _from_gram(cls, factor: np.ndarray, dims) -> "DensityMatrix":
+        """``F^T F^*`` for a factor ``F`` of shape ``(r, d_a * d_b)``."""
+        rho = cls.__new__(cls)
+        rho._store(factor.T @ factor.conj(), dims, HERM_TOL, TRACE_TOL)
+        return rho
+
+    def _store(self, mat, dims, herm_tol: float, trace_tol: float) -> None:
         mat = _as_square_matrix(mat, "density matrix")
         self.dims = _check_dims(dims, mat.shape[0])
         assert_hermitian(mat, tol=herm_tol)
         tr = mat.trace()
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {trace_tol:g}")
-        w = np.linalg.eigvalsh(mat)
-        if w[0] < -psd_tol:
-            raise ValueError(
-                f"density matrix has eigenvalue {w[0]:.3e} below -psd_tol ({-psd_tol:g})"
-            )
         mat = mat.copy()
         mat.flags.writeable = False
         self.mat = mat
@@ -166,39 +180,30 @@ class PureState:
 
     def to_density(self) -> DensityMatrix:
         """Rank-one density matrix ``|psi><psi|`` with the same dims."""
-        return DensityMatrix(np.outer(self.vec, self.vec.conj()), self.dims)
+        return DensityMatrix._from_gram(self.vec[None, :], self.dims)
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim}, dims={self.dims})"
 
 
-def transpose_subsystem(mat, dims, subsystem: str = "B") -> np.ndarray:
-    """Entry permutation behind the partial transpose, on a raw matrix.
+def partial_transpose(rho: DensityMatrix, subsystem: str = "B") -> np.ndarray:
+    """Transpose one tensor factor of a bipartite density matrix.
 
     For ``subsystem="B"`` the entry at row ``(i, j)``, column ``(k, l)`` of
-    the output equals ``mat[(i, l), (k, j)]``. The permutation is an
-    involution and preserves trace and Hermiticity.
+    the output equals ``rho.mat[(i, l), (k, j)]``; for ``"A"`` it equals
+    ``rho.mat[(k, j), (i, l)]``. This involution preserves trace and
+    Hermiticity but not positivity, which is what the entanglement
+    monotones probe, so the result is a plain (writable) array.
     """
-    mat = _as_square_matrix(mat)
-    d_a, d_b = _check_dims(dims, mat.shape[0])
-    r4 = mat.reshape(d_a, d_b, d_a, d_b)
+    d_a, d_b = rho.dims
+    r4 = rho.mat.reshape(d_a, d_b, d_a, d_b)
     if subsystem == "B":
         out = r4.transpose(0, 3, 2, 1)
     elif subsystem == "A":
         out = r4.transpose(2, 1, 0, 3)
     else:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return np.ascontiguousarray(out).reshape(mat.shape)
-
-
-def partial_transpose(rho: DensityMatrix, subsystem: str = "B") -> np.ndarray:
-    """Transpose one tensor factor of a bipartite density matrix.
-
-    The result is Hermitian with the same trace but is generally not
-    positive, which is exactly what the entanglement monotones probe.
-    Returns a plain (writable) array since the output need not be a state.
-    """
-    return transpose_subsystem(rho.mat, rho.dims, subsystem)
+    return np.ascontiguousarray(out).reshape(rho.mat.shape)
 
 
 def reduced_state(psi: PureState, keep: str = "A") -> np.ndarray:

@@ -31,13 +31,6 @@ from .linalg import (
 NEG_EIG_TOL = 1e-10
 
 
-def _check_order(p: float) -> float:
-    p = float(p)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"monotone order p must be a real number >= 1, got {p!r}")
-    return p
-
-
 def negative_eigenvalues(a) -> np.ndarray:
     """Strictly negative eigenvalues of a Hermitian matrix, descending.
 
@@ -54,20 +47,7 @@ def neg_pnorm(a, p: float = 2.0) -> float:
 
     Returns 0 for positive semidefinite input. Accepts any real ``p >= 1``.
     """
-    p = _check_order(p)
-    neg = negative_eigenvalues(a)
-    if neg.size == 0:
-        return 0.0
-    return float(np.sum(np.abs(neg) ** p) ** (1.0 / p))
-
-
-def neg_power_sum(a, p: float = 2.0) -> float:
-    """Sum of ``|lambda|^p`` over negative eigenvalues, i.e. ``neg_pnorm ** p``."""
-    p = _check_order(p)
-    neg = negative_eigenvalues(a)
-    if neg.size == 0:
-        return 0.0
-    return float(np.sum(np.abs(neg) ** p))
+    return monotone_report(a, p).pnorm
 
 
 @dataclass(frozen=True)
@@ -82,14 +62,29 @@ class MonotoneReport:
 
 
 def monotone_report(a, p: float = 2.0) -> MonotoneReport:
-    """Evaluate :func:`neg_pnorm` and :func:`neg_power_sum` in one pass."""
-    p = _check_order(p)
+    """Negative-spectrum norms for one order ``p``: the evaluator behind
+    :func:`neg_pnorm` and every monotone built on it.
+
+    ``pnorm`` is evaluated as ``m * ||x / m||_p`` with ``m`` the largest
+    negative magnitude, so it neither underflows at large ``p`` nor
+    overflows at large magnitudes. ``power_sum = pnorm ** p`` can still
+    underflow to 0 or overflow to ``inf`` where ``pnorm`` does not.
+    """
+    p = float(p)
+    if not np.isfinite(p) or p < 1.0:
+        raise ValueError(f"monotone order p must be a real number >= 1, got {p!r}")
     neg = negative_eigenvalues(a)
-    powers = np.abs(neg) ** p
-    psum = float(powers.sum())
+    pnorm = psum = 0.0
+    if neg.size:
+        mag = np.abs(neg)
+        m = mag.max()
+        scaled = float(np.sum((mag / m) ** p))
+        pnorm = float(m * scaled ** (1.0 / p))
+        with np.errstate(over="ignore", under="ignore"):
+            psum = float(m**p * scaled)
     return MonotoneReport(
         p=p,
-        pnorm=float(psum ** (1.0 / p)) if neg.size else 0.0,
+        pnorm=pnorm,
         power_sum=psum,
         negative_eigenvalues=neg,
         neg_count=int(neg.size),

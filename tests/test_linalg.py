@@ -13,7 +13,6 @@ from entmono import (
     max_entangled_vector,
     partial_transpose,
     schmidt_coefficients,
-    transpose_subsystem,
 )
 
 
@@ -112,13 +111,25 @@ class TestPartialTranspose:
         assert np.allclose(w, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
     def test_involution_is_exact(self):
+        # Documented entry permutation: B maps row (i, j), column (k, l) to
+        # mat[(i, l), (k, j)], A to mat[(k, j), (i, l)]. A product state's
+        # partial transpose is again a state, so it can be transposed back.
         rng = np.random.default_rng(5)
         for d_a, d_b in ((2, 2), (2, 5), (3, 3)):
             rho = random_density(rng, d_a, d_b)
+            r4 = rho.mat.reshape(d_a, d_b, d_a, d_b)
+            pt_a = partial_transpose(rho, "A").reshape(d_a, d_b, d_a, d_b)
+            pt_b = partial_transpose(rho, "B").reshape(d_a, d_b, d_a, d_b)
+            for i, j, k, l in np.ndindex(d_a, d_b, d_a, d_b):
+                assert pt_b[i, j, k, l] == r4[i, l, k, j]
+                assert pt_a[i, j, k, l] == r4[k, j, i, l]
+            prod = DensityMatrix(
+                np.kron(random_density(rng, 1, d_a).mat, random_density(rng, 1, d_b).mat),
+                (d_a, d_b),
+            )
             for side in ("A", "B"):
-                pt = partial_transpose(rho, side)
-                back = transpose_subsystem(pt, rho.dims, side)
-                assert np.array_equal(back, rho.mat)
+                pt = DensityMatrix(partial_transpose(prod, side), prod.dims)
+                assert np.array_equal(partial_transpose(pt, side), prod.mat)
 
     def test_preserves_trace_and_hermiticity(self):
         rng = np.random.default_rng(6)
@@ -228,6 +239,8 @@ class TestStateValidation:
         psi = random_pure(rng, 2, 2)
         with pytest.raises(ValueError):
             psi.vec[0] = 0.0
+        with pytest.raises(ValueError):
+            psi.to_density().mat[0, 0] = 0.0
 
     def test_tolerances_configurable(self):
         mat = np.eye(4) / 4.0 + 1e-6 * np.eye(4)

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_density, random_hermitian, random_pure
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmono import (
     DensityMatrix,
@@ -8,7 +12,6 @@ from entmono import (
     concurrence_lower_bound,
     monotone_report,
     neg_pnorm,
-    neg_power_sum,
     negative_eigenvalues,
     negativity,
     partial_transpose,
@@ -38,9 +41,23 @@ class TestNegPnorm:
 
     def test_power_sum_examples(self):
         a = np.diag([-1.0, -2.0, 3.0])
-        assert abs(neg_power_sum(a, 2.0) - 5.0) < 1e-14
-        assert neg_power_sum(np.eye(2), 2.0) == 0.0
-        assert abs(neg_power_sum(a, 1.0) - neg_pnorm(a, 1.0)) < 1e-15
+        assert abs(monotone_report(a, 2.0).power_sum - 5.0) < 1e-14
+        assert monotone_report(np.eye(2), 2.0).power_sum == 0.0
+        assert abs(monotone_report(a, 1.0).power_sum - neg_pnorm(a, 1.0)) < 1e-15
+
+    def test_extreme_order_and_magnitude(self):
+        # |x|^p summed directly underflows to 0 at p = 1000 (reporting no
+        # entanglement) and overflows to inf at 1e200; the norm itself does neither.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(neg_pnorm(np.diag([0.5, -0.3, -0.2]), 1000.0) - 0.3) < 1e-15
+            assert neg_pnorm(np.diag([1e200, -1e200]), 2.0) == 1e200
+            assert neg_pnorm(np.diag([1e200, -1e200, -1e200]), 2.0) == pytest.approx(
+                np.sqrt(2.0) * 1e200, rel=1e-15
+            )
+            # power_sum = pnorm ** p leaves the float range silently
+            assert monotone_report(np.diag([0.5, -0.3, -0.2]), 1000.0).power_sum == 0.0
+            assert monotone_report(np.diag([1e200, -1e200]), 2.0).power_sum == np.inf
 
     def test_fractional_order_allowed(self):
         a = np.diag([-4.0, 1.0])
@@ -65,6 +82,33 @@ class TestNegPnorm:
         a = np.diag([1.0, -1e-13])
         assert negative_eigenvalues(a).size == 0
         assert neg_pnorm(a, 2.0) == 0.0
+
+
+# Diagonal entries with |x| >= 1e-3, at least one negative, so that no
+# eigenvalue sits near the noise cutoff at any scale c >= 1.
+_entries = st.lists(
+    st.tuples(st.floats(1e-3, 1.0), st.booleans()), min_size=1, max_size=8
+).map(lambda xs: np.array([m if i and positive else -m for i, (m, positive) in enumerate(xs)]))
+_scales = st.floats(1.0, 1e300)
+_orders = st.floats(1.0, 1e4)
+_settings = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+class TestNegPnormProperties:
+    @_settings
+    @given(_entries, _scales, _orders)
+    def test_bounded_by_largest_negative(self, x, c, p):
+        neg = np.abs(c * x[x < 0])
+        m, k = neg.max(), neg.size
+        value = neg_pnorm(np.diag(c * x), p)
+        assert m * (1.0 - 1e-12) <= value <= k ** (1.0 / p) * m * (1.0 + 1e-12)
+
+    @_settings
+    @given(_entries, _scales, _orders)
+    def test_homogeneity(self, x, c, p):
+        assert neg_pnorm(np.diag(c * x), p) == pytest.approx(
+            c * neg_pnorm(np.diag(x), p), rel=1e-12
+        )
 
 
 class TestTriangleAndConvexity:

@@ -29,8 +29,8 @@ class TestCoherentState:
         assert abs(nbar - 100.0) < 1e-6
 
     def test_recurrence_well_past_factorial_overflow(self):
-        # 250! overflows float64; the recurrence keeps every amplitude finite
-        # and the ratio c_{n+1} / c_n = alpha / sqrt(n + 1) intact throughout.
+        # 250! overflows float64; log-space evaluation keeps every amplitude
+        # finite and the ratio c_{n+1} / c_n = alpha / sqrt(n + 1) intact.
         amps = coherent_state(10.0, 250)
         assert np.all(np.isfinite(amps))
         ratios = amps[1:] / amps[:-1]
@@ -39,6 +39,17 @@ class TestCoherentState:
 
     def test_normalization(self):
         assert abs(np.sum(coherent_state(4.0, 60) ** 2) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("nbar", [2000.0, 1e4])
+    def test_large_mean_photon_number(self, nbar):
+        # exp(-nbar / 2) underflows float64 beyond nbar ~ 1490
+        n_max = int(nbar + 10.0 * np.sqrt(nbar))
+        prob = coherent_state(np.sqrt(nbar), n_max) ** 2
+        n = np.arange(n_max + 1)
+        mean = float(prob @ n)
+        assert abs(prob.sum() - 1.0) < 1e-12
+        assert abs(mean - nbar) < 1e-8 * nbar
+        assert abs(float(prob @ (n - mean) ** 2) - nbar) < 1e-6 * nbar
 
     def test_inadequate_cutoff_raises(self):
         with pytest.raises(TruncationError):
@@ -142,10 +153,20 @@ class TestReduction:
             w = hermitian_eigenvalues(reduce_atom_field(row, 30).mat)
             assert 0.0 < trace.purity[i] <= 1.0 + 1e-12
             assert abs(trace.purity[i] - (w[0] ** 2 + w[1] ** 2)) < 1e-9
+            assert trace.rank_estimate[i] == np.sum(w > 1e-10)
 
     def test_rejects_wrong_size(self):
         with pytest.raises(DimensionMismatchError):
             reduce_atom_field(np.zeros(10), 30)
+
+    def test_rejects_invalid_state(self):
+        psi = np.zeros(4 * 31, dtype=complex)
+        psi[3 * 31:] = coherent_state(2.0, 30)
+        with pytest.raises(ValueError, match="trace"):
+            reduce_atom_field(2.0 * psi, 30)
+        psi[5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            reduce_atom_field(psi, 30)
 
 
 class TestRunTrace:
