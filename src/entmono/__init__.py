@@ -17,10 +17,8 @@ from .convex_roof import (
     average_objective,
     ensemble_from_unitary,
     minimize_roof,
-    numerical_rank,
-    random_isometry,
 )
-from .io import StateFormatError, load_state, save_state, state_from_dict, state_to_dict
+from .io import StateFormatError, load_state, save_state
 from .linalg import (
     ConvergenceError,
     DensityMatrix,
@@ -29,9 +27,7 @@ from .linalg import (
     PureState,
     fidelity_max_entangled,
     hermitian_eigenvalues,
-    max_entangled_vector,
     partial_transpose,
-    reduced_state,
     schmidt_coefficients,
 )
 from .majorization import (
@@ -54,7 +50,6 @@ from .monotones import (
 )
 from .states import (
     isotropic_concurrence_bound,
-    isotropic_pt_spectrum,
     isotropic_state,
     isotropic_tangle_bound,
     max_entangled,
@@ -66,8 +61,6 @@ from .tcm import (
     TruncationError,
     coherent_state,
     evolve,
-    excitation_expectation,
-    propagate,
     reduce_atom_field,
     run_trace,
 )
@@ -95,39 +88,30 @@ __all__ = [
     "concurrence_lower_bound",
     "ensemble_from_unitary",
     "evolve",
-    "excitation_expectation",
     "fidelity_max_entangled",
     "hermitian_eigenvalues",
     "is_doubly_stochastic",
     "isotropic_concurrence_bound",
-    "isotropic_pt_spectrum",
     "isotropic_state",
     "isotropic_tangle_bound",
     "load_state",
     "majorizes",
     "max_entangled",
-    "max_entangled_vector",
     "minimize_roof",
     "mixing_parameter",
     "monotone_report",
     "neg_pnorm",
     "negative_eigenvalues",
     "negativity",
-    "numerical_rank",
     "partial_transpose",
     "positive_part",
-    "propagate",
     "pth_power",
     "pure_concurrence",
     "pure_tangle",
-    "random_isometry",
     "reduce_atom_field",
-    "reduced_state",
     "run_trace",
     "save_state",
     "schmidt_coefficients",
-    "state_from_dict",
-    "state_to_dict",
     "tangle_lower_bound",
     "weakly_submajorizes",
 ]

@@ -28,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConvergenceError, DensityMatrix, PureState
+from .linalg import TRACE_TOL, ConvergenceError, DensityMatrix, PureState, zero_cutoff
 from .monotones import pure_concurrence, pure_tangle
 
-# Eigenvalues of rho below this threshold count as null space.
-RANK_TOL = 1e-10
 ISOMETRY_TOL = 1e-10
+# Convergence threshold on the Riemannian gradient norm of each descent.
+STEP_TOL = 1e-7
 
 OBJECTIVES = ("concurrence", "tangle")
 
@@ -67,7 +67,7 @@ class Ensemble:
             )
         if np.any(probs <= 0.0):
             raise ValueError("ensemble probabilities must all be positive")
-        if abs(probs.sum() - 1.0) > 1e-8:
+        if abs(probs.sum() - 1.0) > TRACE_TOL:
             raise ValueError(f"ensemble probabilities sum to {probs.sum():.12g}, not 1")
         dims = states[0].dims
         if any(s.dims != dims for s in states):
@@ -93,8 +93,8 @@ class RoofConfig:
 
     ``ensemble_size`` defaults to ``min(r^2, r + 4)`` for rank ``r`` and may
     not exceed ``4 r^2``. ``max_iters`` caps the descent iterations of each
-    smoothing stage of each restart. ``step_tol`` is the convergence
-    tolerance on the Riemannian gradient norm and on the accepted step.
+    smoothing stage of each restart; a descent also stops once its
+    Riemannian gradient norm falls below ``STEP_TOL``.
     """
 
     objective: str = "concurrence"
@@ -102,7 +102,6 @@ class RoofConfig:
     restarts: int = 32
     max_iters: int = 2000
     seed: int = 0
-    step_tol: float = 1e-7
 
     def __post_init__(self):
         _check_objective(self.objective)
@@ -112,8 +111,6 @@ class RoofConfig:
             raise ValueError("restarts and max_iters must be non-negative")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not (0.0 < self.step_tol < 1.0):
-            raise ValueError(f"step_tol must lie in (0, 1), got {self.step_tol}")
 
 
 @dataclass(frozen=True)
@@ -128,13 +125,13 @@ class RoofResult:
 def _sqrt_members(rho: DensityMatrix) -> np.ndarray:
     """Rows ``sqrt(mu_j) e_j^T`` over the non-null eigenpairs of rho."""
     w, v = np.linalg.eigh(rho.mat)
-    keep = w > RANK_TOL
+    keep = w > zero_cutoff(w)
     return np.sqrt(w[keep])[:, None] * v[:, keep].T
 
 
 def numerical_rank(rho: DensityMatrix) -> int:
-    """Number of eigenvalues of ``rho`` above the null-space threshold."""
-    return int(np.sum(np.linalg.eigvalsh(rho.mat) > RANK_TOL))
+    """Number of eigenvalues of ``rho`` above the zero cutoff."""
+    return _sqrt_members(rho).shape[0]
 
 
 def random_isometry(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -218,7 +215,7 @@ def _value_and_grad(u, s, d_a, d_b, objective, eps):
     return value, grad_psi @ s.conj().T
 
 
-def _descend(u, s, d_a, d_b, objective, eps, max_iters, step_tol):
+def _descend(u, s, d_a, d_b, objective, eps, max_iters):
     """Riemannian gradient descent with Armijo backtracking; accepts only
     strict improvements, so the smoothed value is non-increasing."""
     value, grad = _value_and_grad(u, s, d_a, d_b, objective, eps)
@@ -227,7 +224,7 @@ def _descend(u, s, d_a, d_b, objective, eps, max_iters, step_tol):
         gu = u.conj().T @ grad
         xi = grad - u @ (gu + gu.conj().T) * 0.5  # tangent-space projection
         ng2 = float(np.sum(np.abs(xi) ** 2))
-        if ng2 < step_tol * step_tol:
+        if ng2 < STEP_TOL * STEP_TOL:
             break
         t_step = min(t_step * 2.0, 1.0)
         improved = False
@@ -244,11 +241,11 @@ def _descend(u, s, d_a, d_b, objective, eps, max_iters, step_tol):
     return value, u
 
 
-def _refine(u, s, d_a, d_b, objective, max_iters, step_tol):
+def _refine(u, s, d_a, d_b, objective, max_iters):
     if objective == "tangle":
-        return _descend(u, s, d_a, d_b, objective, 0.0, max_iters, step_tol)
+        return _descend(u, s, d_a, d_b, objective, 0.0, max_iters)
     for eps in _EPS_STAGES:
-        value, u = _descend(u, s, d_a, d_b, objective, eps, max_iters, step_tol)
+        value, u = _descend(u, s, d_a, d_b, objective, eps, max_iters)
     return value, u
 
 
@@ -281,7 +278,7 @@ def minimize_roof(rho: DensityMatrix, cfg: RoofConfig | None = None) -> RoofResu
     for idx, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)):
         rng = np.random.default_rng(child)
         u = random_isometry(m, r, rng)
-        val, u = _refine(u, s, d_a, d_b, cfg.objective, cfg.max_iters, cfg.step_tol)
+        val, u = _refine(u, s, d_a, d_b, cfg.objective, cfg.max_iters)
         restart_values[idx] = val
         if val < best_val:
             best_val, best_u = val, u

@@ -9,20 +9,33 @@ coefficients and the overlap with the maximally entangled state.
 Matrices are plain ``numpy`` arrays in row-major bipartite ordering: the
 composite index of row ``(i, j)`` is ``i * d_b + j`` with ``i`` labelling
 subsystem A and ``j`` labelling subsystem B.
+
+The state-validation thresholds, and the rule for which eigenvalues are
+zero, are fixed constants of this module; no call can change them:
+
+- ``HERM_TOL = 1e-8``: largest ``|a - a^H|`` entry, relative to ``max(1, |a|_max)``;
+- ``TRACE_TOL = 1e-8``: largest ``|tr rho - 1|`` of a density matrix;
+- ``PSD_TOL = 1e-8``: largest negative eigenvalue magnitude of a density matrix;
+- ``NORM_TOL = 1e-8``: largest ``| |v|^2 - 1 |`` of a pure state (its density's trace);
+- ``IMAG_TOL = 1e-8``: largest imaginary part of a maximally entangled overlap;
+- ``ZERO_EIG_TOL = 1e-10``: eigenvalues with ``|lambda| <= ZERO_EIG_TOL * |lambda|_max``
+  are zero (:func:`zero_cutoff`), at every scale, for the negativity, the
+  convex-roof null space and the cavity run's rank estimate alike.
+
+The 1e-8 thresholds are loose because inputs arrive from file parsing or from
+time evolution with accumulated round-off.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Default tolerances. Inputs typically arrive from file parsing or from time
-# evolution with accumulated round-off, hence the loose 1e-8 defaults; the
-# eigensolver itself is far more accurate than that.
 HERM_TOL = 1e-8
 TRACE_TOL = 1e-8
 PSD_TOL = 1e-8
 NORM_TOL = 1e-8
 IMAG_TOL = 1e-8
+ZERO_EIG_TOL = 1e-10
 
 
 class NonHermitianError(ValueError):
@@ -65,27 +78,30 @@ def _check_dims(dims, size: int) -> tuple[int, int]:
     return d_a, d_b
 
 
-def assert_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> None:
-    """Raise :class:`NonHermitianError` unless ``a`` is Hermitian within ``tol``.
-
-    The deviation ``max |a - a^H|`` is compared against ``tol * max(1, |a|_max)``
-    so the check is relative for large matrices but absolute near zero.
-    """
+def assert_hermitian(a: np.ndarray) -> None:
+    """Raise :class:`NonHermitianError` unless ``max |a - a^H|`` is within
+    ``HERM_TOL * max(1, |a|_max)``: relative for large matrices, absolute near zero."""
     dev = np.abs(a - a.conj().T).max() if a.size else 0.0
-    scale = max(1.0, np.abs(a).max()) if a.size else 1.0
-    if dev > tol * scale:
+    tol = HERM_TOL * (max(1.0, np.abs(a).max()) if a.size else 1.0)
+    if dev > tol:
         raise NonHermitianError(
-            f"matrix deviates from Hermiticity by {dev:.3e} (tolerance {tol * scale:.3e})"
+            f"matrix deviates from Hermiticity by {dev:.3e} (tolerance {tol:.3e})"
         )
 
 
-def hermitian_eigenvalues(a, herm_tol: float = HERM_TOL) -> np.ndarray:
+def zero_cutoff(w: np.ndarray) -> np.ndarray:
+    """``ZERO_EIG_TOL`` times the spectral radius of ``w`` along its last axis,
+    kept as a length-one axis so it broadcasts against ``w``; 0 if empty."""
+    return ZERO_EIG_TOL * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
+
+
+def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted in descending order.
 
     Parameters
     ----------
     a : array_like
-        Square complex matrix, Hermitian within ``herm_tol``.
+        Square complex matrix, Hermitian within ``HERM_TOL``.
 
     Returns
     -------
@@ -94,7 +110,7 @@ def hermitian_eigenvalues(a, herm_tol: float = HERM_TOL) -> np.ndarray:
         eigenvalues carry no ordering guarantee beyond the numeric sort.
     """
     a = _as_square_matrix(a)
-    assert_hermitian(a, tol=herm_tol)
+    assert_hermitian(a)
     try:
         w = np.linalg.eigvalsh(a)  # LAPACK, ascending
     except np.linalg.LinAlgError as exc:
@@ -106,12 +122,12 @@ class DensityMatrix:
     """Bipartite density matrix together with its subsystem dimensions.
 
     Validates Hermiticity, unit trace and positive semidefiniteness at
-    construction; the stored array is a read-only copy, so instances are
-    immutable and safe to share across threads.
-
-    Gram products ``F^T F^*`` built by :meth:`PureState.to_density` and
-    :func:`entmono.tcm.reduce_atom_field` skip only the positivity check, an
-    O(D^3) eigensolve that cannot fail on a Gram product.
+    construction, against the fixed thresholds of the module docstring; the
+    stored array is a read-only copy, so instances are immutable and safe to
+    share across threads. Matrices positive semidefinite by construction
+    (:meth:`PureState.to_density`, :func:`entmono.tcm.reduce_atom_field`,
+    :func:`entmono.states.isotropic_state`) skip only the positivity check,
+    an O(D^3) eigensolve that cannot fail on them.
 
     Parameters
     ----------
@@ -119,33 +135,30 @@ class DensityMatrix:
         Square complex matrix of dimension ``d_a * d_b``.
     dims : (int, int)
         Subsystem dimensions ``(d_a, d_b)``.
-    herm_tol, trace_tol, psd_tol : float, optional
-        Validation tolerances.
     """
 
-    def __init__(self, mat, dims, *, herm_tol: float = HERM_TOL,
-                 trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TOL):
-        self._store(mat, dims, herm_tol, trace_tol)
+    def __init__(self, mat, dims):
+        self._store(mat, dims)
         w = np.linalg.eigvalsh(self.mat)
-        if w[0] < -psd_tol:
+        if w[0] < -PSD_TOL:
             raise ValueError(
-                f"density matrix has eigenvalue {w[0]:.3e} below -psd_tol ({-psd_tol:g})"
+                f"density matrix has eigenvalue {w[0]:.3e} below -PSD_TOL ({-PSD_TOL:g})"
             )
 
     @classmethod
-    def _from_gram(cls, factor: np.ndarray, dims) -> "DensityMatrix":
-        """``F^T F^*`` for a factor ``F`` of shape ``(r, d_a * d_b)``."""
+    def _from_psd(cls, mat: np.ndarray, dims) -> "DensityMatrix":
+        """Density matrix from a matrix its caller built positive semidefinite."""
         rho = cls.__new__(cls)
-        rho._store(factor.T @ factor.conj(), dims, HERM_TOL, TRACE_TOL)
+        rho._store(mat, dims)
         return rho
 
-    def _store(self, mat, dims, herm_tol: float, trace_tol: float) -> None:
+    def _store(self, mat, dims) -> None:
         mat = _as_square_matrix(mat, "density matrix")
         self.dims = _check_dims(dims, mat.shape[0])
-        assert_hermitian(mat, tol=herm_tol)
+        assert_hermitian(mat)
         tr = mat.trace()
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {trace_tol:g}")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {TRACE_TOL:g}")
         mat = mat.copy()
         mat.flags.writeable = False
         self.mat = mat
@@ -161,15 +174,18 @@ class DensityMatrix:
 class PureState:
     """Bipartite pure state vector with subsystem dimensions ``(d_a, d_b)``.
 
-    The amplitude vector is validated to be normalized and stored read-only.
+    The amplitude vector is stored read-only. Its squared norm, the trace of
+    :meth:`to_density`, must be 1 within ``NORM_TOL``.
     """
 
-    def __init__(self, vec, dims, *, norm_tol: float = NORM_TOL):
+    def __init__(self, vec, dims):
         vec = _as_complex_array(vec, "state vector").reshape(-1)
         self.dims = _check_dims(dims, vec.size)
-        nrm = np.linalg.norm(vec)
-        if abs(nrm - 1.0) > norm_tol:
-            raise ValueError(f"state vector norm {nrm:.12g} is not 1 within {norm_tol:g}")
+        nrm2 = np.vdot(vec, vec).real
+        if abs(nrm2 - 1.0) > NORM_TOL:
+            raise ValueError(
+                f"state vector squared norm {nrm2:.12g} is not 1 within {NORM_TOL:g}"
+            )
         vec = vec.copy()
         vec.flags.writeable = False
         self.vec = vec
@@ -180,7 +196,8 @@ class PureState:
 
     def to_density(self) -> DensityMatrix:
         """Rank-one density matrix ``|psi><psi|`` with the same dims."""
-        return DensityMatrix._from_gram(self.vec[None, :], self.dims)
+        f = self.vec[None, :]
+        return DensityMatrix._from_psd(f.T @ f.conj(), self.dims)
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim}, dims={self.dims})"
@@ -232,20 +249,18 @@ def schmidt_coefficients(psi: PureState) -> np.ndarray:
 
 
 def max_entangled_vector(d: int) -> np.ndarray:
-    """Amplitudes of the maximally entangled state on a ``d x d`` system."""
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
+    """Amplitudes of the maximally entangled state on a ``d x d`` system;
+    ``d`` is validated by its callers in :mod:`entmono.states`."""
     vec = np.zeros(d * d, dtype=np.complex128)
     vec[:: d + 1] = 1.0 / np.sqrt(d)
     return vec
 
 
-def fidelity_max_entangled(rho: DensityMatrix, imag_tol: float = IMAG_TOL) -> float:
+def fidelity_max_entangled(rho: DensityMatrix) -> float:
     """Overlap of ``rho`` with the maximally entangled state, in ``[0, 1]``.
 
     Requires equal subsystem dimensions. The overlap of a valid state is
-    real; a residual imaginary part beyond ``imag_tol`` raises.
+    real; a residual imaginary part beyond ``IMAG_TOL`` raises.
     """
     d_a, d_b = rho.dims
     if d_a != d_b:
@@ -254,6 +269,6 @@ def fidelity_max_entangled(rho: DensityMatrix, imag_tol: float = IMAG_TOL) -> fl
         )
     idx = np.arange(d_a) * (d_a + 1)
     val = rho.mat[np.ix_(idx, idx)].sum() / d_a
-    if abs(val.imag) > imag_tol:
+    if abs(val.imag) > IMAG_TOL:
         raise ValueError(f"overlap has imaginary part {val.imag:.3e}")
     return float(min(max(val.real, 0.0), 1.0))

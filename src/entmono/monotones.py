@@ -24,22 +24,21 @@ from .linalg import (
     hermitian_eigenvalues,
     partial_transpose,
     schmidt_coefficients,
+    zero_cutoff,
 )
-
-# Eigenvalues in (-NEG_EIG_TOL * scale, 0) are treated as zero so that
-# eigensolver noise cannot masquerade as entanglement.
-NEG_EIG_TOL = 1e-10
 
 
 def negative_eigenvalues(a) -> np.ndarray:
     """Strictly negative eigenvalues of a Hermitian matrix, descending.
 
-    The cutoff scales with the spectral radius: values above
-    ``-NEG_EIG_TOL * max(1, |lambda|_max)`` count as zero.
+    Eigenvalues within :func:`~entmono.linalg.zero_cutoff` of zero,
+    ``|lambda| <= ZERO_EIG_TOL * |lambda|_max``, count as zero so that
+    eigensolver noise cannot masquerade as entanglement. The cutoff is
+    relative at every scale, so the result is homogeneous: scaling ``a`` by
+    ``c > 0`` scales the returned values by ``c``.
     """
     w = hermitian_eigenvalues(a)
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    return w[w < -NEG_EIG_TOL * scale]
+    return w[w < -zero_cutoff(w)]
 
 
 def neg_pnorm(a, p: float = 2.0) -> float:

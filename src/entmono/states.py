@@ -48,14 +48,18 @@ def max_entangled(d: int) -> PureState:
 
 
 def isotropic_state(d: int, fidelity: float) -> DensityMatrix:
-    """Isotropic state of the given fidelity as an explicit matrix."""
-    d = _check_d(d)
-    f = _check_fidelity(fidelity)
-    lam = mixing_parameter(d, f)
+    """Isotropic state of the given fidelity as an explicit matrix.
+
+    Its eigenvalues ``(1 - lam) / d^2`` and ``(1 + (d^2 - 1) lam) / d^2`` are
+    non-negative over the whole range of ``lam``, so the positivity
+    eigensolve of :class:`DensityMatrix` is skipped.
+    """
+    lam = mixing_parameter(d, fidelity)
+    d = int(d)
     vec = max_entangled_vector(d)
     mat = (1.0 - lam) / (d * d) * np.eye(d * d, dtype=np.complex128)
     mat += lam * np.outer(vec, vec.conj())
-    return DensityMatrix(mat, (d, d))
+    return DensityMatrix._from_psd(mat, (d, d))
 
 
 def isotropic_pt_spectrum(d: int, fidelity: float) -> list[tuple[float, int]]:

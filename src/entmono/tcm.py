@@ -29,10 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityMatrix, DimensionMismatchError
+from .linalg import DensityMatrix, DimensionMismatchError, zero_cutoff
 from .monotones import tangle_lower_bound
-
-RANK_EST_TOL = 1e-10
 
 
 class TruncationError(RuntimeError):
@@ -202,7 +200,8 @@ def reduce_atom_field(total, n_max: int) -> DensityMatrix:
         raise DimensionMismatchError(
             f"state has {v.size} amplitudes, expected {4 * fock}"
         )
-    return DensityMatrix._from_gram(v.reshape(2, 2 * fock), (2, fock))
+    f = v.reshape(2, 2 * fock)
+    return DensityMatrix._from_psd(f.T @ f.conj(), (2, fock))
 
 
 @dataclass(frozen=True)
@@ -241,7 +240,7 @@ def run_trace(cfg: TcmConfig) -> TcmTrace:
     states = evolve(cfg)
     branches = states.reshape(states.shape[0], 2, -1)
     gram = np.linalg.eigvalsh(branches @ branches.conj().transpose(0, 2, 1))
-    rank = np.sum(gram > RANK_EST_TOL, axis=1)
+    rank = np.sum(gram > zero_cutoff(gram), axis=1)
     purity = np.sum(gram * gram, axis=1)
     n2pt = np.array([tangle_lower_bound(reduce_atom_field(s, cfg.n_max)) for s in states])
     return TcmTrace(gt=cfg.t_grid.copy(), n2pt=n2pt, rank_estimate=rank, purity=purity)

@@ -10,9 +10,8 @@ from entmono import (
     StateFormatError,
     load_state,
     save_state,
-    state_from_dict,
-    state_to_dict,
 )
+from entmono.io import state_from_dict, state_to_dict
 
 
 def test_density_round_trip(tmp_path):

@@ -10,10 +10,10 @@ from entmono import (
     fidelity_max_entangled,
     hermitian_eigenvalues,
     isotropic_state,
-    max_entangled_vector,
     partial_transpose,
     schmidt_coefficients,
 )
+from entmono.linalg import TRACE_TOL, max_entangled_vector
 
 
 def char_poly_roots_3x3(a):
@@ -242,8 +242,20 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             psi.to_density().mat[0, 0] = 0.0
 
-    def test_tolerances_configurable(self):
-        mat = np.eye(4) / 4.0 + 1e-6 * np.eye(4)
-        with pytest.raises(ValueError):
-            DensityMatrix(mat, (2, 2), trace_tol=1e-12)
-        DensityMatrix(mat, (2, 2), trace_tol=1e-4)
+    def test_trace_tolerance_is_fixed(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(np.eye(4) * (1.0 + 1e-6) / 4.0, (2, 2))
+        DensityMatrix(np.eye(4) * (1.0 + TRACE_TOL / 2) / 4.0, (2, 2))
+
+    @pytest.mark.parametrize("offset", [-0.4e-8, 0.4e-8])
+    def test_pure_norm_within_tolerance_gives_valid_density(self, offset):
+        v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0) * (1.0 + offset)
+        rho = PureState(v, (2, 2)).to_density()
+        assert abs(np.trace(rho.mat).real - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("offset", [-0.9e-8, 0.9e-8])
+    def test_pure_norm_checked_as_trace(self, offset):
+        # |v| is within 1e-8 of 1, but |v|^2, the trace of to_density(), is not
+        v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0) * (1.0 + offset)
+        with pytest.raises(ValueError, match="norm"):
+            PureState(v, (2, 2))

@@ -58,6 +58,8 @@ class TestNegPnorm:
             # power_sum = pnorm ** p leaves the float range silently
             assert monotone_report(np.diag([0.5, -0.3, -0.2]), 1000.0).power_sum == 0.0
             assert monotone_report(np.diag([1e200, -1e200]), 2.0).power_sum == np.inf
+        # the zero cutoff is relative, so tiny spectra are not read as zero
+        assert neg_pnorm(np.diag([1e-12, -1e-12]), 2.0) == 1e-12
 
     def test_fractional_order_allowed(self):
         a = np.diag([-4.0, 1.0])
@@ -84,12 +86,13 @@ class TestNegPnorm:
         assert neg_pnorm(a, 2.0) == 0.0
 
 
-# Diagonal entries with |x| >= 1e-3, at least one negative, so that no
-# eigenvalue sits near the noise cutoff at any scale c >= 1.
+# Diagonal entries with |x| >= 1e-3, at least one negative: every eigenvalue
+# is at least 1e-3 of the spectral radius, far above the relative zero cutoff
+# at any scale c, tiny or huge.
 _entries = st.lists(
     st.tuples(st.floats(1e-3, 1.0), st.booleans()), min_size=1, max_size=8
 ).map(lambda xs: np.array([m if i and positive else -m for i, (m, positive) in enumerate(xs)]))
-_scales = st.floats(1.0, 1e300)
+_scales = st.floats(1e-300, 1e300)
 _orders = st.floats(1.0, 1e4)
 _settings = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 

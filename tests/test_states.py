@@ -6,7 +6,6 @@ from entmono import (
     fidelity_max_entangled,
     hermitian_eigenvalues,
     isotropic_concurrence_bound,
-    isotropic_pt_spectrum,
     isotropic_state,
     isotropic_tangle_bound,
     max_entangled,
@@ -15,6 +14,7 @@ from entmono import (
     pure_concurrence,
     schmidt_coefficients,
 )
+from entmono.states import isotropic_pt_spectrum
 
 
 class TestMaxEntangled:
@@ -51,6 +51,12 @@ class TestIsotropicState:
         for d in (2, 3, 7):
             for f in (0.0, 0.2, 1.0 / d, 0.7, 1.0):
                 assert abs(fidelity_max_entangled(isotropic_state(d, f)) - f) < 1e-12
+
+    def test_positive_semidefinite_over_the_range(self):
+        # built without the positivity eigensolve, so positivity is guarded here
+        for d in range(2, 7):
+            for f in np.linspace(0.0, 1.0, 21):
+                assert hermitian_eigenvalues(isotropic_state(d, float(f)).mat)[-1] >= -1e-14
 
     def test_rejects_bad_fidelity(self):
         with pytest.raises(ValueError, match="fidelity"):

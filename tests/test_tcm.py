@@ -8,14 +8,13 @@ from entmono import (
     TruncationError,
     coherent_state,
     evolve,
-    excitation_expectation,
     hermitian_eigenvalues,
     minimize_roof,
-    propagate,
     reduce_atom_field,
     run_trace,
     tangle_lower_bound,
 )
+from entmono.tcm import excitation_expectation, propagate
 
 
 class TestCoherentState:
