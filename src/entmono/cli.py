@@ -89,7 +89,7 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
 
 def _cmd_monotone(args) -> str:
     rho = _load_density(args.input)
-    mat = partial_transpose(rho, args.pt)
+    mat = partial_transpose(rho)
     rep = monotone_report(mat, args.p)
     neg = [float(x) for x in rep.negative_eigenvalues]
     if args.json:
@@ -152,7 +152,6 @@ def _cmd_isotropic(args) -> str:
 
 def _cmd_tcm(args) -> str:
     cfg = TcmConfig(
-        g=args.g,
         nbar=args.nbar,
         n_max=args.n_max,
         t_grid=np.linspace(0.0, args.t_max, args.steps),
@@ -204,8 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("monotone", _cmd_monotone, "evaluate the monotone family on a state file")
     p.add_argument("--p", type=_order, required=True, help="order, any real >= 1")
     p.add_argument("--input", required=True, help="state file (JSON)")
-    p.add_argument("--pt", choices=("A", "B"), default="B",
-                   help="subsystem to partially transpose (default B)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
 
     p = add("negativity", _cmd_negativity, "negativity of a density matrix")
@@ -229,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("tcm", _cmd_tcm, "two-atom cavity run: tangle bound vs effective time (CSV)")
     p.add_argument("--nbar", type=float, default=100.0)
     p.add_argument("--n-max", type=int, default=200)
-    p.add_argument("--g", type=float, default=1.0)
     p.add_argument("--t-max", type=float, default=50.0)
     p.add_argument("--steps", type=_count, default=1000)
 

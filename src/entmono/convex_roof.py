@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TRACE_TOL, ConvergenceError, DensityMatrix, PureState, zero_cutoff
+from .linalg import TRACE_TOL, DensityMatrix, PureState, zero_cutoff
 from .monotones import pure_concurrence, pure_tangle
 
 ISOMETRY_TOL = 1e-10
@@ -107,8 +107,10 @@ class RoofConfig:
         _check_objective(self.objective)
         if self.ensemble_size is not None and self.ensemble_size < 1:
             raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
-        if self.restarts < 0 or self.max_iters < 0:
-            raise ValueError("restarts and max_iters must be non-negative")
+        if self.restarts < 1 or self.max_iters < 1:
+            raise ValueError(
+                f"restarts and max_iters must be >= 1, got {self.restarts} and {self.max_iters}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -261,8 +263,6 @@ def minimize_roof(rho: DensityMatrix, cfg: RoofConfig | None = None) -> RoofResu
     ``cfg.seed`` and the reduction runs in restart order.
     """
     cfg = cfg or RoofConfig()
-    if cfg.restarts * cfg.max_iters == 0:
-        raise ConvergenceError("restarts and max_iters must both be positive")
     d_a, d_b = rho.dims
     s = _sqrt_members(rho)
     r = s.shape[0]

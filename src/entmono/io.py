@@ -46,7 +46,7 @@ def state_from_dict(obj) -> DensityMatrix | PureState:
     if missing:
         raise StateFormatError(f"missing keys: {', '.join(missing)}")
     d_a, d_b = obj["d_a"], obj["d_b"]
-    if not isinstance(d_a, int) or not isinstance(d_b, int) or d_a < 1 or d_b < 1:
+    if any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in (d_a, d_b)):
         raise StateFormatError('"d_a" and "d_b" must be positive integers')
     kind = obj["kind"]
     if kind not in ("density", "pure"):

@@ -203,23 +203,18 @@ class PureState:
         return f"PureState(dim={self.dim}, dims={self.dims})"
 
 
-def partial_transpose(rho: DensityMatrix, subsystem: str = "B") -> np.ndarray:
-    """Transpose one tensor factor of a bipartite density matrix.
+def partial_transpose(rho: DensityMatrix) -> np.ndarray:
+    """Transpose the B factor of a bipartite density matrix.
 
-    For ``subsystem="B"`` the entry at row ``(i, j)``, column ``(k, l)`` of
-    the output equals ``rho.mat[(i, l), (k, j)]``; for ``"A"`` it equals
-    ``rho.mat[(k, j), (i, l)]``. This involution preserves trace and
-    Hermiticity but not positivity, which is what the entanglement
-    monotones probe, so the result is a plain (writable) array.
+    The entry at row ``(i, j)``, column ``(k, l)`` of the output equals
+    ``rho.mat[(i, l), (k, j)]``. The A-side partial transpose is the full
+    transpose of this result, so it has the same spectrum and gives the same
+    monotones. This involution preserves trace and Hermiticity but not
+    positivity, which is what the entanglement monotones probe, so the
+    result is a plain (writable) array.
     """
     d_a, d_b = rho.dims
-    r4 = rho.mat.reshape(d_a, d_b, d_a, d_b)
-    if subsystem == "B":
-        out = r4.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        out = r4.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    out = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1)
     return np.ascontiguousarray(out).reshape(rho.mat.shape)
 
 

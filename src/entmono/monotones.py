@@ -92,7 +92,7 @@ def monotone_report(a, p: float = 2.0) -> MonotoneReport:
 
 def negativity(rho: DensityMatrix) -> float:
     """Absolute sum of the negative partial-transpose eigenvalues."""
-    return neg_pnorm(partial_transpose(rho, "B"), p=1.0)
+    return neg_pnorm(partial_transpose(rho), p=1.0)
 
 
 def concurrence_lower_bound(rho: DensityMatrix) -> float:
@@ -103,7 +103,7 @@ def concurrence_lower_bound(rho: DensityMatrix) -> float:
     convex function of ``rho``, which is what makes it a bound for the
     convex-roof extension on mixed states.
     """
-    return 2.0 * neg_pnorm(partial_transpose(rho, "B"), p=2.0)
+    return 2.0 * neg_pnorm(partial_transpose(rho), p=2.0)
 
 
 def tangle_lower_bound(rho: DensityMatrix) -> float:

@@ -7,15 +7,16 @@ approximations, equal couplings)
     H = g * sum_k (a sigma_k^+ + a^dagger sigma_k^-),    k = 1, 2.
 
 The total excitation number ``a^dagger a + sum_k sigma_k^+ sigma_k^-``
-commutes with H, so the Hilbert space splits into blocks of dimension at
-most four that are diagonalized exactly once; propagation is then exact
-(no integrator error) at O(n_max) cost per time point.
+commutes with H, so the Hilbert space splits into ``n_max + 3`` blocks of
+dimension at most four, diagonalized together in one batched eigensolve;
+propagation is then exact (no integrator error) at O(n_max) cost per time
+point.
 
 Basis conventions: atom levels are indexed 0 = ground, 1 = excited, and a
 total state ``|s1, s2, n>`` lives at flat index ``(2 s1 + s2) (n_max + 1) + n``.
-Since the phase of every block is ``exp(-i w g t)`` with ``w`` the
-unit-coupling eigenvalues, time is handled as the effective time ``gt``;
-the coupling ``g`` only distinguishes the null case ``g = 0``.
+The coupling ``g`` sets only the unit of time: the evolution is that of the
+unit-coupling Hamiltonian at the effective time ``gt``, so every time in this
+module is an effective time.
 
 Tracing out one atom of the evolved pure state leaves an atom-field density
 matrix of rank at most two, the structure that makes the tangle bound a
@@ -47,8 +48,8 @@ def coherent_state(alpha: float, n_max: int) -> np.ndarray:
     truncated weight falls below ``1 - 1e-6``.
     """
     alpha = float(alpha)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not math.isfinite(alpha) or alpha < 0:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if int(n_max) != n_max or n_max < 0:
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     n_max = int(n_max)
@@ -69,23 +70,21 @@ def coherent_state(alpha: float, n_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TcmConfig:
-    """Run parameters: coupling, mean photon number, cutoff, time grid.
+    """Run parameters: mean photon number, cutoff, time grid.
 
-    ``t_grid`` holds effective times ``gt``. The cutoff must satisfy
-    ``n_max >= nbar + 6 sqrt(nbar)`` so the coherent tail fits comfortably.
-    ``g = 0`` is allowed and yields a constant state.
+    ``t_grid`` holds effective times ``gt``; the coupling ``g`` sets only the
+    unit of time, so it is not a parameter. ``nbar`` must be finite and
+    ``>= 0``, and the cutoff must satisfy ``n_max >= nbar + 6 sqrt(nbar)`` so
+    the coherent tail fits comfortably.
     """
 
-    g: float = 1.0
     nbar: float = 100.0
     n_max: int = 200
     t_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 50.0, 1000))
 
     def __post_init__(self):
-        if self.g < 0:
-            raise ValueError(f"coupling g must be >= 0, got {self.g}")
-        if self.nbar < 0:
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
+        if not math.isfinite(self.nbar) or self.nbar < 0:
+            raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
         if self.n_max < self.nbar + 6.0 * np.sqrt(self.nbar):
             raise ValueError(
                 f"n_max={self.n_max} is inadequate for nbar={self.nbar}; "
@@ -101,40 +100,15 @@ class TcmConfig:
         object.__setattr__(self, "t_grid", grid)
 
 
-def _blocks(n_max: int):
-    """Bases of the conserved-excitation blocks, as lists of (s1, s2, n)."""
-    for exc_total in range(n_max + 3):
-        basis = []
-        for s1, s2 in ((1, 1), (1, 0), (0, 1), (0, 0)):
-            n = exc_total - s1 - s2
-            if 0 <= n <= n_max:
-                basis.append((s1, s2, n))
-        if basis:
-            yield basis
-
-
-def _block_hamiltonian(basis) -> np.ndarray:
-    """Unit-coupling Hamiltonian restricted to one excitation block."""
-    index = {b: i for i, b in enumerate(basis)}
-    h = np.zeros((len(basis), len(basis)))
-    for i, (s1, s2, n) in enumerate(basis):
-        if s1 == 1:  # a^dagger sigma_1^-
-            j = index.get((0, s2, n + 1))
-            if j is not None:
-                h[j, i] = np.sqrt(n + 1.0)
-        if s2 == 1:  # a^dagger sigma_2^-
-            j = index.get((s1, 0, n + 1))
-            if j is not None:
-                h[j, i] = np.sqrt(n + 1.0)
-    return h + h.T
-
-
 def propagate(initial, n_max: int, t_grid) -> np.ndarray:
     """Evolve an arbitrary state of the 2 x 2 x (n_max + 1) space.
 
     ``t_grid`` is in effective-time units ``gt``. Returns the stack of
-    states, shape ``(len(t_grid), 4 (n_max + 1))``. Exact per block via one
-    small eigendecomposition each.
+    states, shape ``(len(t_grid), 4 (n_max + 1))``. Exact: the ``n_max + 3``
+    conserved-excitation blocks go through one batched eigendecomposition.
+    Block ``e`` holds ``|s1, s2, n>`` for the atom levels (1,1), (1,0),
+    (0,1), (0,0) with ``n = e - s1 - s2``, padded to 4 x 4 with decoupled,
+    zero-amplitude entries where ``n`` falls outside ``[0, n_max]``.
     """
     fock = n_max + 1
     initial = np.asarray(initial, dtype=np.complex128).reshape(-1)
@@ -143,21 +117,28 @@ def propagate(initial, n_max: int, t_grid) -> np.ndarray:
             f"state has {initial.size} amplitudes, expected {4 * fock}"
         )
     t_grid = np.asarray(t_grid, dtype=np.float64).reshape(-1)
-    out = np.zeros((t_grid.size, 4 * fock), dtype=np.complex128)
-    for basis in _blocks(n_max):
-        flat = np.array([(2 * s1 + s2) * fock + n for s1, s2, n in basis])
-        v0 = initial[flat]
-        if not np.any(v0):
-            continue
-        w, vec = np.linalg.eigh(_block_hamiltonian(basis))
-        y0 = vec.T @ v0
-        phases = np.exp(-1j * np.outer(w, t_grid))
-        out[:, flat] = (vec @ (phases * y0[:, None])).T
+    n = np.arange(n_max + 3)[:, None] - np.array([2, 1, 1, 0])
+    valid = (n >= 0) & (n <= n_max)
+    flat = np.array([3, 2, 1, 0]) * fock + n  # row 2 s1 + s2 of the flat index
+    h = np.zeros((n_max + 3, 4, 4))
+    # a^dagger sigma_k^- lowers one atom and raises n - 1 to n: amplitude sqrt(n)
+    h[:, 1, 0] = h[:, 2, 0] = np.sqrt(n[:, 1].clip(0)) * valid[:, 0] * valid[:, 1]
+    h[:, 3, 1] = h[:, 3, 2] = np.sqrt(n[:, 3].clip(0)) * valid[:, 1] * valid[:, 3]
+    w, vec = np.linalg.eigh(h, UPLO="L")
+    v0 = np.where(valid, initial[flat.clip(0, 4 * fock - 1)], 0.0)
+    coeff = vec * np.einsum("bik,bi->bk", vec, v0)[:, None, :]
+    # perm[j]: position of flat index j among the raveled (block, level) entries
+    perm = np.empty(4 * fock, dtype=np.intp)
+    perm[flat[valid]] = np.flatnonzero(valid)
+    out = np.empty((t_grid.size, 4 * fock), dtype=np.complex128)
+    for k, t in enumerate(t_grid):  # per time point, so peak memory stays at ``out``
+        blocks = np.einsum("bik,bk->bi", coeff, np.exp(-1j * t * w))
+        np.take(blocks.reshape(-1), perm, out=out[k])
     return out
 
 
 def evolve(cfg: TcmConfig) -> np.ndarray:
-    """Evolve ``|e, e> (x) |alpha>`` over ``cfg.t_grid``.
+    """Evolve ``|e, e> (x) |alpha>`` over the effective times ``cfg.t_grid``.
 
     Returns the stack of total pure states. Raises
     :class:`TruncationError` if any output time leaks more than ``1e-6``
@@ -166,10 +147,7 @@ def evolve(cfg: TcmConfig) -> np.ndarray:
     fock = cfg.n_max + 1
     psi0 = np.zeros(4 * fock, dtype=np.complex128)
     psi0[3 * fock:] = coherent_state(np.sqrt(cfg.nbar), cfg.n_max)
-    if cfg.g == 0.0:
-        states = np.tile(psi0, (cfg.t_grid.size, 1))
-    else:
-        states = propagate(psi0, cfg.n_max, cfg.t_grid)
+    states = propagate(psi0, cfg.n_max, cfg.t_grid)
     top = states.reshape(-1, 4, fock)[:, :, fock - 2:]
     leak = float(np.max(np.sum(np.abs(top) ** 2, axis=(1, 2))))
     if leak > 1e-6:

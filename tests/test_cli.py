@@ -82,11 +82,6 @@ class TestMonotone:
         assert abs(obj["pnorm"] - 0.5) < 1e-12
         assert obj["neg_count"] == 1
 
-    def test_pt_side_is_irrelevant_for_spectrum(self, capsys, bell_file):
-        _, out_a, _ = run(capsys, "monotone", "--p", "1.5", "--input", bell_file, "--pt", "A")
-        _, out_b, _ = run(capsys, "monotone", "--p", "1.5", "--input", bell_file, "--pt", "B")
-        assert out_a == out_b
-
 
 class TestIsotropic:
     def test_row_count_and_threshold(self, capsys):
@@ -132,6 +127,12 @@ class TestTcm:
         for line in lines[1:]:
             assert int(line.split(",")[2]) <= 2
 
+    @pytest.mark.parametrize("nbar", ["nan", "inf"])
+    def test_non_finite_nbar_is_named(self, capsys, nbar):
+        code, out, err = run(capsys, "tcm", "--nbar", nbar, "--n-max", "30")
+        assert code == 2 and out == ""
+        assert "nbar" in err
+
 
 class TestRoof:
     def test_value_and_residual(self, capsys, tmp_path):
@@ -159,6 +160,12 @@ class TestRoof:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_zero_restarts_is_a_computation_error(self, capsys, bell_file):
+        code, out, err = run(capsys, "roof", "--objective", "concurrence",
+                             "--input", bell_file, "--restarts", "0")
+        assert code == 2 and out == ""
+        assert "restarts" in err
 
 
 class TestMajorize:

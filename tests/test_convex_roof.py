@@ -3,7 +3,6 @@ import pytest
 from conftest import random_density, random_pure
 
 from entmono import (
-    ConvergenceError,
     DensityMatrix,
     Ensemble,
     NotIsometryError,
@@ -171,9 +170,9 @@ class TestMinimizeRoof:
         assert large.value <= small.value + 1e-6
 
     def test_rejects_zero_budget(self):
-        rho = isotropic_state(2, 0.8)
-        with pytest.raises(ConvergenceError):
-            minimize_roof(rho, RoofConfig(restarts=0))
+        for field in ("restarts", "max_iters"):
+            with pytest.raises(ValueError, match="restarts and max_iters"):
+                RoofConfig(**{field: 0})
 
     def test_ensemble_size_bounds(self):
         rho = isotropic_state(2, 0.8)  # rank 4

@@ -74,6 +74,14 @@ def test_rejects_dimension_mismatch():
         state_from_dict(obj)
 
 
+@pytest.mark.parametrize("key", ["d_a", "d_b"])
+def test_rejects_boolean_dimension(key):
+    obj = _bell_dict()
+    obj[key] = True  # bool is an int subclass; JSON true is not a dimension
+    with pytest.raises(StateFormatError, match="positive integers"):
+        state_from_dict(obj)
+
+
 def test_rejects_unknown_kind():
     obj = _bell_dict()
     obj["kind"] = "mixed"

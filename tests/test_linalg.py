@@ -98,7 +98,7 @@ class TestPartialTranspose:
             rho_a = random_density(rng, 1, d_a).mat
             rho_b = random_density(rng, 1, d_b).mat
             rho = DensityMatrix(np.kron(rho_a, rho_b), (d_a, d_b))
-            pt = partial_transpose(rho, "B")
+            pt = partial_transpose(rho)
             assert np.allclose(pt, np.kron(rho_a, rho_b.T))
             w = hermitian_eigenvalues(pt)
             assert w.min() > -1e-12
@@ -107,49 +107,33 @@ class TestPartialTranspose:
 
     def test_bell_spectrum(self):
         bell = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
-        w = hermitian_eigenvalues(partial_transpose(bell.to_density(), "B"))
+        w = hermitian_eigenvalues(partial_transpose(bell.to_density()))
         assert np.allclose(w, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
     def test_involution_is_exact(self):
-        # Documented entry permutation: B maps row (i, j), column (k, l) to
-        # mat[(i, l), (k, j)], A to mat[(k, j), (i, l)]. A product state's
-        # partial transpose is again a state, so it can be transposed back.
+        # Documented entry permutation: row (i, j), column (k, l) maps to
+        # mat[(i, l), (k, j)]. A product state's partial transpose is again a
+        # state, so it can be transposed back.
         rng = np.random.default_rng(5)
         for d_a, d_b in ((2, 2), (2, 5), (3, 3)):
             rho = random_density(rng, d_a, d_b)
             r4 = rho.mat.reshape(d_a, d_b, d_a, d_b)
-            pt_a = partial_transpose(rho, "A").reshape(d_a, d_b, d_a, d_b)
-            pt_b = partial_transpose(rho, "B").reshape(d_a, d_b, d_a, d_b)
+            pt = partial_transpose(rho).reshape(d_a, d_b, d_a, d_b)
             for i, j, k, l in np.ndindex(d_a, d_b, d_a, d_b):
-                assert pt_b[i, j, k, l] == r4[i, l, k, j]
-                assert pt_a[i, j, k, l] == r4[k, j, i, l]
+                assert pt[i, j, k, l] == r4[i, l, k, j]
             prod = DensityMatrix(
                 np.kron(random_density(rng, 1, d_a).mat, random_density(rng, 1, d_b).mat),
                 (d_a, d_b),
             )
-            for side in ("A", "B"):
-                pt = DensityMatrix(partial_transpose(prod, side), prod.dims)
-                assert np.array_equal(partial_transpose(pt, side), prod.mat)
+            pt = DensityMatrix(partial_transpose(prod), prod.dims)
+            assert np.array_equal(partial_transpose(pt), prod.mat)
 
     def test_preserves_trace_and_hermiticity(self):
         rng = np.random.default_rng(6)
         rho = random_density(rng, 3, 4)
-        pt = partial_transpose(rho, "B")
+        pt = partial_transpose(rho)
         assert abs(np.trace(pt) - 1.0) < 1e-12
         assert np.abs(pt - pt.conj().T).max() < 1e-12
-
-    def test_both_sides_share_spectrum(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            rho = random_density(rng, 3, 3)
-            wa = hermitian_eigenvalues(partial_transpose(rho, "A"))
-            wb = hermitian_eigenvalues(partial_transpose(rho, "B"))
-            assert np.allclose(wa, wb, atol=1e-10)
-
-    def test_rejects_bad_subsystem(self):
-        rng = np.random.default_rng(9)
-        with pytest.raises(ValueError):
-            partial_transpose(random_density(rng, 2, 2), "C")
 
 
 class TestSchmidtCoefficients:

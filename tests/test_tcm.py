@@ -58,6 +58,11 @@ class TestCoherentState:
         with pytest.raises(ValueError):
             coherent_state(-1.0, 10)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            coherent_state(alpha, 10)
+
 
 class TestConfig:
     def test_default_is_adequate(self):
@@ -73,9 +78,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="increasing"):
             TcmConfig(nbar=0.0, n_max=5, t_grid=np.array([0.0, 1.0, 1.0]))
 
-    def test_rejects_negative_coupling(self):
-        with pytest.raises(ValueError, match="coupling"):
-            TcmConfig(g=-1.0, nbar=0.0, n_max=5)
+    @pytest.mark.parametrize("nbar", [float("nan"), float("inf"), -1.0])
+    def test_rejects_nbar_outside_finite_range(self, nbar):
+        with pytest.raises(ValueError, match="nbar"):
+            TcmConfig(nbar=nbar, n_max=5)
 
 
 class TestEvolution:
@@ -85,11 +91,6 @@ class TestEvolution:
         psi0 = np.zeros(4 * 31, dtype=complex)
         psi0[3 * 31:] = coherent_state(2.0, 30)
         assert np.abs(states[0] - psi0).max() < 1e-12
-
-    def test_zero_coupling_is_constant(self):
-        cfg = TcmConfig(g=0.0, nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 5.0, 7))
-        states = evolve(cfg)
-        assert np.abs(states - states[0]).max() == 0.0
 
     def test_single_excitation_vacuum_rabi(self):
         # Initial |e, g, 0>: population of |e, g, 0> follows the closed form
@@ -104,6 +105,24 @@ class TestEvolution:
         population = np.abs(states[:, 2 * fock]) ** 2
         closed = ((1.0 + np.cos(np.sqrt(2.0) * t)) / 2.0) ** 2
         assert np.abs(population - closed).max() < 1e-12
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5])
+    def test_matches_dense_hamiltonian(self, n_max):
+        # Full 4 (n_max + 1)-dimensional unit-coupling Hamiltonian on the flat
+        # index (2 s1 + s2) (n_max + 1) + n, built from its operators alone.
+        fock = n_max + 1
+        a = np.diag(np.sqrt(np.arange(1.0, fock)), 1)
+        lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # sigma^-: |1> -> |0>
+        eye2 = np.eye(2)
+        jump = np.kron(np.kron(lower, eye2), a.T) + np.kron(np.kron(eye2, lower), a.T)
+        w, vec = np.linalg.eigh(jump + jump.T)
+        rng = np.random.default_rng(n_max)
+        t = np.array([0.0, 0.3, 1.7, 12.5, 50.0])
+        for _ in range(3):
+            psi0 = rng.normal(size=4 * fock) + 1j * rng.normal(size=4 * fock)
+            psi0 /= np.linalg.norm(psi0)
+            dense = (vec @ (np.exp(-1j * np.outer(w, t)) * (vec.T @ psi0)[:, None])).T
+            assert np.abs(propagate(psi0, n_max, t) - dense).max() < 1e-12
 
     def test_norm_conservation(self):
         cfg = TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 20.0, 40))
@@ -173,14 +192,23 @@ class TestRunTrace:
         cfg = TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 10.0, 6))
         trace = run_trace(cfg)
         assert trace.n2pt[0] == 0.0
+        assert trace.rank_estimate[0] == 1
         assert np.all(trace.n2pt >= 0.0)
         assert np.all(trace.rank_estimate <= 2)
 
     def test_zero_coupling_stays_zero(self):
-        cfg = TcmConfig(g=0.0, nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 10.0, 5))
+        # With g = 0 the effective time gt is zero throughout the run.
+        cfg = TcmConfig(nbar=4.0, n_max=30, t_grid=np.array([0.0]))
         trace = run_trace(cfg)
         assert np.all(trace.n2pt == 0.0)
         assert np.all(trace.rank_estimate == 1)
+        # |g, g, 0> is annihilated by H, so it stays a product state at all times.
+        psi0 = np.zeros(4 * 31, dtype=complex)
+        psi0[0] = 1.0
+        states = propagate(psi0, 30, np.linspace(0.0, 10.0, 5))
+        assert np.abs(states - psi0).max() < 1e-12
+        for row in states:
+            assert tangle_lower_bound(reduce_atom_field(row, 30)) == 0.0
 
     def test_bound_below_roof_oracle(self):
         cfg = TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.5, 12.0, 3))
