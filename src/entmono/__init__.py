@@ -28,6 +28,7 @@ from .linalg import (
     fidelity_max_entangled,
     hermitian_eigenvalues,
     partial_transpose,
+    pt_spectrum,
     schmidt_coefficients,
 )
 from .majorization import (
@@ -105,6 +106,7 @@ __all__ = [
     "negativity",
     "partial_transpose",
     "positive_part",
+    "pt_spectrum",
     "pth_power",
     "pure_concurrence",
     "pure_tangle",

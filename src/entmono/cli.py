@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .convex_roof import RoofConfig, minimize_roof
 from .io import load_state
-from .linalg import DensityMatrix, PureState, partial_transpose, schmidt_coefficients
+from .linalg import DensityMatrix, PureState, pt_spectrum, schmidt_coefficients
 from .majorization import majorizes, weakly_submajorizes
 from .monotones import (
+    _spectrum_report,
     concurrence_lower_bound,
-    monotone_report,
     negativity,
     pure_concurrence,
     pure_tangle,
@@ -43,8 +44,8 @@ class UsageError(Exception):
 
 def _order(text: str) -> float:
     value = float(text)
-    if value < 1.0:
-        raise argparse.ArgumentTypeError("must be a real number >= 1")
+    if not math.isfinite(value) or value < 1.0:
+        raise argparse.ArgumentTypeError("must be a finite real number >= 1")
     return value
 
 
@@ -88,25 +89,15 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
 
 
 def _cmd_monotone(args) -> str:
-    rho = _load_density(args.input)
-    mat = partial_transpose(rho)
-    rep = monotone_report(mat, args.p)
+    rep = _spectrum_report(pt_spectrum(_load_density(args.input)), args.p)
     neg = [float(x) for x in rep.negative_eigenvalues]
+    fields = {"p": rep.p, "pnorm": rep.pnorm, "power_sum": rep.power_sum,
+              "neg_count": rep.neg_count, "negative_eigenvalues": neg}
     if args.json:
-        return json.dumps(
-            {
-                "p": rep.p,
-                "pnorm": rep.pnorm,
-                "power_sum": rep.power_sum,
-                "neg_count": rep.neg_count,
-                "negative_eigenvalues": neg,
-            }
-        ) + "\n"
-    joined = ";".join(_fmt(x) for x in neg)
-    return (
-        "p,pnorm,power_sum,neg_count,negative_eigenvalues\n"
-        f"{_fmt(rep.p)},{_fmt(rep.pnorm)},{_fmt(rep.power_sum)},{rep.neg_count},{joined}\n"
-    )
+        return json.dumps(fields) + "\n"
+    row = [_fmt(rep.p), _fmt(rep.pnorm), _fmt(rep.power_sum), str(rep.neg_count),
+           ";".join(_fmt(x) for x in neg)]
+    return ",".join(fields) + "\n" + ",".join(row) + "\n"
 
 
 def _cmd_negativity(args) -> str:

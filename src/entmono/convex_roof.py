@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TRACE_TOL, DensityMatrix, PureState, zero_cutoff
+from .linalg import TRACE_TOL, DensityMatrix, PureState, _is_integer, zero_cutoff
 from .monotones import pure_concurrence, pure_tangle
 
 ISOMETRY_TOL = 1e-10
@@ -105,6 +105,10 @@ class RoofConfig:
 
     def __post_init__(self):
         _check_objective(self.objective)
+        for name in ("ensemble_size", "restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value) and not (name == "ensemble_size" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.ensemble_size is not None and self.ensemble_size < 1:
             raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         if self.restarts < 1 or self.max_iters < 1:
@@ -169,13 +173,18 @@ def ensemble_from_unitary(rho: DensityMatrix, u) -> Ensemble:
     gram = u.conj().T @ u
     if np.abs(gram - np.eye(r)).max() > ISOMETRY_TOL:
         raise NotIsometryError("mixing matrix columns are not orthonormal")
+    return _ensemble(u, s, rho.dims)
+
+
+def _ensemble(u: np.ndarray, s: np.ndarray, dims) -> Ensemble:
+    """Normalized members ``u @ s`` of a checked isometry, minus underflows."""
     raw = u @ s
     weights = np.einsum("ij,ij->i", raw, raw.conj()).real
     keep = weights > 1e-12
     probs, members = [], []
     for w_i, vec in zip(weights[keep], raw[keep]):
         probs.append(w_i)
-        members.append(PureState(vec / np.sqrt(w_i), rho.dims))
+        members.append(PureState(vec / np.sqrt(w_i), dims))
     return Ensemble(np.array(probs), members)
 
 
@@ -283,7 +292,7 @@ def minimize_roof(rho: DensityMatrix, cfg: RoofConfig | None = None) -> RoofResu
         if val < best_val:
             best_val, best_u = val, u
 
-    ensemble = ensemble_from_unitary(rho, best_u)
+    ensemble = _ensemble(best_u, s, rho.dims)
     value = average_objective(ensemble, cfg.objective)
     restart_values.flags.writeable = False
     return RoofResult(value=value, ensemble=ensemble, restart_values=restart_values)

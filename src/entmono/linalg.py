@@ -3,8 +3,13 @@
 Everything downstream (monotone evaluation, convex-roof search, the cavity
 QED simulation) runs on the few primitives defined here: validated density
 matrices and pure states tagged with subsystem dimensions ``(d_a, d_b)``,
-Hermitian eigenvalues in descending order, the partial transpose, Schmidt
-coefficients and the overlap with the maximally entangled state.
+Hermitian eigenvalues in descending order, the partial transpose and its
+spectrum, Schmidt coefficients and the overlap with the maximally entangled state.
+
+Inputs are validated once, at the API boundary: a state from a public
+constructor is proof of its validity and is not checked again. The library
+builds its own states from validated inputs in a form that is a state by
+construction, through ``DensityMatrix._from_psd``, which checks nothing.
 
 Matrices are plain ``numpy`` arrays in row-major bipartite ordering: the
 composite index of row ``(i, j)`` is ``i * d_b + j`` with ``i`` labelling
@@ -64,11 +69,19 @@ def _as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def _is_integer(x) -> bool:
+    """True for Python and numpy integers; ``bool`` is not a count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_dims(dims, size: int) -> tuple[int, int]:
     try:
-        d_a, d_b = int(dims[0]), int(dims[1])
-    except (TypeError, IndexError) as exc:
-        raise DimensionMismatchError(f"dims must be a pair of integers, got {dims!r}") from exc
+        d_a, d_b = dims
+    except (TypeError, ValueError):
+        d_a = d_b = None
+    if not (_is_integer(d_a) and _is_integer(d_b)):
+        raise DimensionMismatchError(f"dims must be a pair of integers, got {dims!r}")
+    d_a, d_b = int(d_a), int(d_b)
     if d_a < 1 or d_b < 1:
         raise DimensionMismatchError(f"subsystem dimensions must be positive, got {dims!r}")
     if d_a * d_b != size:
@@ -96,21 +109,14 @@ def zero_cutoff(w: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, sorted in descending order.
-
-    Parameters
-    ----------
-    a : array_like
-        Square complex matrix, Hermitian within ``HERM_TOL``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Real eigenvalues, length ``a.shape[0]``, descending. Degenerate
-        eigenvalues carry no ordering guarantee beyond the numeric sort.
-    """
+    """All eigenvalues of a square matrix, Hermitian within ``HERM_TOL``, in
+    descending order (degenerate ones in no order beyond the numeric sort)."""
     a = _as_square_matrix(a)
     assert_hermitian(a)
+    return _eigvalsh_descending(a)
+
+
+def _eigvalsh_descending(a: np.ndarray) -> np.ndarray:
     try:
         w = np.linalg.eigvalsh(a)  # LAPACK, ascending
     except np.linalg.LinAlgError as exc:
@@ -121,47 +127,40 @@ def hermitian_eigenvalues(a) -> np.ndarray:
 class DensityMatrix:
     """Bipartite density matrix together with its subsystem dimensions.
 
-    Validates Hermiticity, unit trace and positive semidefiniteness at
-    construction, against the fixed thresholds of the module docstring; the
-    stored array is a read-only copy, so instances are immutable and safe to
-    share across threads. Matrices positive semidefinite by construction
-    (:meth:`PureState.to_density`, :func:`entmono.tcm.reduce_atom_field`,
-    :func:`entmono.states.isotropic_state`) skip only the positivity check,
-    an O(D^3) eigensolve that cannot fail on them.
-
-    Parameters
-    ----------
-    mat : array_like
-        Square complex matrix of dimension ``d_a * d_b``.
-    dims : (int, int)
-        Subsystem dimensions ``(d_a, d_b)``.
+    ``mat`` is a square complex matrix of dimension ``d_a * d_b`` for
+    ``dims = (d_a, d_b)``. The constructor validates finiteness, the dims,
+    Hermiticity, unit trace and positive semidefiniteness against the module's
+    fixed thresholds and stores a read-only copy, so instances are immutable
+    and safe to share across threads; functions that take one trust these
+    checks. ``_from_psd`` trusts its caller instead: it serves
+    :meth:`PureState.to_density`, :func:`entmono.tcm.reduce_atom_field` and
+    :func:`entmono.states.isotropic_state`, which each build a fresh Gram
+    matrix or mixture from a validated vector or ``(d, F)``.
     """
 
     def __init__(self, mat, dims):
-        self._store(mat, dims)
-        w = np.linalg.eigvalsh(self.mat)
-        if w[0] < -PSD_TOL:
-            raise ValueError(
-                f"density matrix has eigenvalue {w[0]:.3e} below -PSD_TOL ({-PSD_TOL:g})"
-            )
-
-    @classmethod
-    def _from_psd(cls, mat: np.ndarray, dims) -> "DensityMatrix":
-        """Density matrix from a matrix its caller built positive semidefinite."""
-        rho = cls.__new__(cls)
-        rho._store(mat, dims)
-        return rho
-
-    def _store(self, mat, dims) -> None:
         mat = _as_square_matrix(mat, "density matrix")
-        self.dims = _check_dims(dims, mat.shape[0])
+        dims = _check_dims(dims, mat.shape[0])
         assert_hermitian(mat)
         tr = mat.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {TRACE_TOL:g}")
+        w = np.linalg.eigvalsh(mat)
+        if w[0] < -PSD_TOL:
+            raise ValueError(
+                f"density matrix has eigenvalue {w[0]:.3e} below -PSD_TOL ({-PSD_TOL:g})"
+            )
         mat = mat.copy()
         mat.flags.writeable = False
-        self.mat = mat
+        self.mat, self.dims = mat, dims
+
+    @classmethod
+    def _from_psd(cls, mat: np.ndarray, dims: tuple[int, int]) -> "DensityMatrix":
+        """Trusted state from a fresh array its caller built from validated inputs."""
+        rho = cls.__new__(cls)
+        mat.flags.writeable = False
+        rho.mat, rho.dims = mat, dims
+        return rho
 
     @property
     def dim(self) -> int:
@@ -184,7 +183,8 @@ class PureState:
         nrm2 = np.vdot(vec, vec).real
         if abs(nrm2 - 1.0) > NORM_TOL:
             raise ValueError(
-                f"state vector squared norm {nrm2:.12g} is not 1 within {NORM_TOL:g}"
+                f"state vector squared norm {nrm2:.12g}, the trace of its density "
+                f"matrix, is not 1 within {NORM_TOL:g}"
             )
         vec = vec.copy()
         vec.flags.writeable = False
@@ -218,15 +218,11 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     return np.ascontiguousarray(out).reshape(rho.mat.shape)
 
 
-def reduced_state(psi: PureState, keep: str = "A") -> np.ndarray:
-    """Reduced density matrix of one subsystem of a pure state."""
-    d_a, d_b = psi.dims
-    m = psi.vec.reshape(d_a, d_b)
-    if keep == "A":
-        return m @ m.conj().T
-    if keep == "B":
-        return m.T @ m.conj()
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+def pt_spectrum(rho: DensityMatrix) -> np.ndarray:
+    """Eigenvalues of :func:`partial_transpose` of ``rho``, descending, from one
+    eigensolve and no second check: the transpose permutes entries, so it keeps
+    the validated state's trace and largest ``|a - a^H|`` entry exactly."""
+    return _eigvalsh_descending(partial_transpose(rho))
 
 
 def schmidt_coefficients(psi: PureState) -> np.ndarray:
@@ -238,7 +234,8 @@ def schmidt_coefficients(psi: PureState) -> np.ndarray:
     to one.
     """
     d_a, d_b = psi.dims
-    g = reduced_state(psi, "A" if d_a <= d_b else "B")
+    m = psi.vec.reshape(d_a, d_b)
+    g = m @ m.conj().T if d_a <= d_b else m.T @ m.conj()
     w = np.linalg.eigvalsh(g)[::-1]
     return np.sqrt(np.clip(w, 0.0, None))
 

@@ -34,7 +34,8 @@ def majorizes(y, x, tol: float = MAJ_TOL) -> bool:
     y, x = _pair(y, x)
     cy = np.cumsum(np.sort(y)[::-1])
     cx = np.cumsum(np.sort(x)[::-1])
-    return bool(np.all(cx[:-1] <= cy[:-1] + tol) and abs(cx[-1] - cy[-1]) <= tol)
+    totals_agree = np.all(np.abs(cx[-1:] - cy[-1:]) <= tol)  # true for empty vectors
+    return bool(np.all(cx[:-1] <= cy[:-1] + tol) and totals_agree)
 
 
 def weakly_submajorizes(y, x, tol: float = MAJ_TOL) -> bool:
@@ -51,13 +52,14 @@ def positive_part(x) -> np.ndarray:
 
 
 def pth_power(x, p: float) -> np.ndarray:
-    """Componentwise ``x_i ** p`` for non-negative input and ``p >= 1``."""
+    """Componentwise ``x_i ** p`` for non-negative input and finite ``p >= 1``."""
     x = _as_vector(x, "x")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = float(p)
+    if not np.isfinite(p) or p < 1:
+        raise ValueError(f"p must be a finite real number >= 1, got {p}")
     if np.any(x < 0):
         raise ValueError("pth_power requires non-negative entries")
-    return x ** float(p)
+    return x**p
 
 
 def is_doubly_stochastic(a, tol: float = MAJ_TOL) -> bool:

@@ -9,7 +9,9 @@ which satisfies the triangle inequality and is convex on Hermitian matrices.
 Applied to the partial transpose of a density matrix it yields entanglement
 monotones: ``p = 1`` is the negativity, and twice the ``p = 2`` value is a
 lower bound on the I-concurrence (its square bounds the I-tangle), agreeing
-with the pure-state concurrence exactly on pure inputs.
+with the pure-state concurrence exactly on pure inputs. Every monotone
+evaluates a spectrum with :func:`_spectrum_report`; the state monotones read
+theirs from :func:`~entmono.linalg.pt_spectrum`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .linalg import (
     DensityMatrix,
     PureState,
     hermitian_eigenvalues,
-    partial_transpose,
+    pt_spectrum,
     schmidt_coefficients,
     zero_cutoff,
 )
@@ -37,8 +39,7 @@ def negative_eigenvalues(a) -> np.ndarray:
     relative at every scale, so the result is homogeneous: scaling ``a`` by
     ``c > 0`` scales the returned values by ``c``.
     """
-    w = hermitian_eigenvalues(a)
-    return w[w < -zero_cutoff(w)]
+    return monotone_report(a, 1.0).negative_eigenvalues
 
 
 def neg_pnorm(a, p: float = 2.0) -> float:
@@ -61,18 +62,22 @@ class MonotoneReport:
 
 
 def monotone_report(a, p: float = 2.0) -> MonotoneReport:
-    """Negative-spectrum norms for one order ``p``: the evaluator behind
-    :func:`neg_pnorm` and every monotone built on it.
+    """Negative-spectrum norms of a Hermitian matrix ``a`` for one order ``p``."""
+    return _spectrum_report(hermitian_eigenvalues(a), p)
 
-    ``pnorm`` is evaluated as ``m * ||x / m||_p`` with ``m`` the largest
-    negative magnitude, so it neither underflows at large ``p`` nor
-    overflows at large magnitudes. ``power_sum = pnorm ** p`` can still
-    underflow to 0 or overflow to ``inf`` where ``pnorm`` does not.
+
+def _spectrum_report(w: np.ndarray, p: float) -> MonotoneReport:
+    """Negative-spectrum norms of a descending spectrum ``w``.
+
+    Applies the zero cutoff of :func:`negative_eigenvalues`. ``pnorm`` is
+    ``m * ||x / m||_p`` with ``m`` the largest negative magnitude: it neither
+    underflows at large ``p`` nor overflows at large magnitudes, though
+    ``power_sum = pnorm ** p`` can still leave the float range.
     """
     p = float(p)
     if not np.isfinite(p) or p < 1.0:
         raise ValueError(f"monotone order p must be a real number >= 1, got {p!r}")
-    neg = negative_eigenvalues(a)
+    neg = w[w < -zero_cutoff(w)]
     pnorm = psum = 0.0
     if neg.size:
         mag = np.abs(neg)
@@ -92,7 +97,7 @@ def monotone_report(a, p: float = 2.0) -> MonotoneReport:
 
 def negativity(rho: DensityMatrix) -> float:
     """Absolute sum of the negative partial-transpose eigenvalues."""
-    return neg_pnorm(partial_transpose(rho), p=1.0)
+    return _spectrum_report(pt_spectrum(rho), 1.0).pnorm
 
 
 def concurrence_lower_bound(rho: DensityMatrix) -> float:
@@ -103,7 +108,7 @@ def concurrence_lower_bound(rho: DensityMatrix) -> float:
     convex function of ``rho``, which is what makes it a bound for the
     convex-roof extension on mixed states.
     """
-    return 2.0 * neg_pnorm(partial_transpose(rho), p=2.0)
+    return 2.0 * _spectrum_report(pt_spectrum(rho), 2.0).pnorm
 
 
 def tangle_lower_bound(rho: DensityMatrix) -> float:

@@ -51,8 +51,9 @@ def isotropic_state(d: int, fidelity: float) -> DensityMatrix:
     """Isotropic state of the given fidelity as an explicit matrix.
 
     Its eigenvalues ``(1 - lam) / d^2`` and ``(1 + (d^2 - 1) lam) / d^2`` are
-    non-negative over the whole range of ``lam``, so the positivity
-    eigensolve of :class:`DensityMatrix` is skipped.
+    non-negative over the whole range of ``lam``, and ``d`` and the fidelity
+    are checked by :func:`mixing_parameter`, so the matrix is a state by
+    construction and the checks of :class:`DensityMatrix` are skipped.
     """
     lam = mixing_parameter(d, fidelity)
     d = int(d)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityMatrix, DimensionMismatchError, zero_cutoff
+from .linalg import DensityMatrix, DimensionMismatchError, PureState, _is_integer, zero_cutoff
 from .monotones import tangle_lower_bound
 
 
@@ -85,6 +85,8 @@ class TcmConfig:
     def __post_init__(self):
         if not math.isfinite(self.nbar) or self.nbar < 0:
             raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
+        if not _is_integer(self.n_max) or self.n_max < 0:
+            raise ValueError(f"n_max must be a non-negative integer, got {self.n_max!r}")
         if self.n_max < self.nbar + 6.0 * np.sqrt(self.nbar):
             raise ValueError(
                 f"n_max={self.n_max} is inadequate for nbar={self.nbar}; "
@@ -170,16 +172,12 @@ def reduce_atom_field(total, n_max: int) -> DensityMatrix:
     """Trace out atom 1, leaving the atom-2 plus field density matrix.
 
     The result has dims ``(2, n_max + 1)`` and rank at most two, since only
-    a single qubit was discarded from a pure state.
+    a single qubit was discarded from a pure state. ``total`` is checked once,
+    in O(D), as a pure state; its Gram matrix ``f^T f^*`` is then not checked.
     """
-    fock = n_max + 1
-    v = np.asarray(total, dtype=np.complex128).reshape(-1)
-    if v.size != 4 * fock:
-        raise DimensionMismatchError(
-            f"state has {v.size} amplitudes, expected {4 * fock}"
-        )
-    f = v.reshape(2, 2 * fock)
-    return DensityMatrix._from_psd(f.T @ f.conj(), (2, fock))
+    psi = PureState(total, (2, 2 * (n_max + 1)))
+    f = psi.vec.reshape(2, -1)
+    return DensityMatrix._from_psd(f.T @ f.conj(), (2, psi.dims[1] // 2))
 
 
 @dataclass(frozen=True)
@@ -194,13 +192,6 @@ class TcmTrace:
     n2pt: np.ndarray
     rank_estimate: np.ndarray
     purity: np.ndarray
-
-    def __post_init__(self):
-        n = self.gt.size
-        if not (self.n2pt.size == self.rank_estimate.size == self.purity.size == n):
-            raise ValueError("trace columns must have equal length")
-        if np.any(self.rank_estimate > 2):
-            raise ValueError("atom-field rank above two; the state was not pure")
 
     @property
     def rows(self):

@@ -197,6 +197,12 @@ class TestErrorPaths:
         code, _, _ = run(capsys, "monotone", "--p", "0.5", "--input", bell_file)
         assert code == 1
 
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_non_finite_order_is_usage_error(self, capsys, bell_file, p):
+        code, _, err = run(capsys, "monotone", "--p", p, "--input", bell_file)
+        assert code == 1
+        assert "finite" in err
+
     def test_small_dimension_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "isotropic", "--d", "1", "--steps", "2")
         assert code == 1

@@ -174,6 +174,35 @@ class TestMinimizeRoof:
             with pytest.raises(ValueError, match="restarts and max_iters"):
                 RoofConfig(**{field: 0})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_iters", 2.5), ("restarts", 1.5), ("ensemble_size", 2.5), ("seed", 1.5),
+         ("restarts", True), ("seed", False), ("max_iters", "10")],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RoofConfig(**{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        rho = isotropic_state(2, 0.8)
+        cfg = RoofConfig(restarts=np.int64(2), max_iters=np.int32(20), seed=np.uint8(3),
+                         ensemble_size=np.int64(5))
+        assert minimize_roof(rho, cfg).restart_values.shape == (2,)
+
+    def test_one_state_eigensolve_per_search(self, monkeypatch):
+        rho = isotropic_state(3, 0.8)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        res = minimize_roof(rho, RoofConfig(restarts=2, max_iters=20, seed=0))
+        assert shapes == [(9, 9)]
+        assert res.value == pytest.approx(average_objective(res.ensemble), abs=0)
+
     def test_ensemble_size_bounds(self):
         rho = isotropic_state(2, 0.8)  # rank 4
         with pytest.raises(ValueError, match="below the rank"):

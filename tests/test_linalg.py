@@ -1,19 +1,28 @@
 import numpy as np
 import pytest
 from conftest import random_density, random_hermitian, random_pure
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmono import (
     DensityMatrix,
     DimensionMismatchError,
     NonHermitianError,
     PureState,
+    TcmConfig,
+    concurrence_lower_bound,
     fidelity_max_entangled,
     hermitian_eigenvalues,
     isotropic_state,
+    negativity,
     partial_transpose,
+    pt_spectrum,
+    run_trace,
     schmidt_coefficients,
+    tangle_lower_bound,
 )
-from entmono.linalg import TRACE_TOL, max_entangled_vector
+from entmono import linalg
+from entmono.linalg import HERM_TOL, TRACE_TOL, max_entangled_vector
 
 
 def char_poly_roots_3x3(a):
@@ -135,6 +144,43 @@ class TestPartialTranspose:
         assert abs(np.trace(pt) - 1.0) < 1e-12
         assert np.abs(pt - pt.conj().T).max() < 1e-12
 
+    # The premise of pt_spectrum: the partial transpose permutes entries, so
+    # the trace and the Hermiticity deviation checked on the state carry over
+    # exactly, even for a state that is Hermitian only within HERM_TOL.
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 0.4))
+    def test_keeps_trace_and_hermiticity_deviation_exactly(self, d_a, d_b, seed, skew):
+        rng = np.random.default_rng(seed)
+        z = random_hermitian(rng, d_a * d_b) * 1j  # anti-Hermitian perturbation
+        np.fill_diagonal(z, 0.0)  # keeps the trace real and within TRACE_TOL
+        mat = random_density(rng, d_a, d_b).mat + skew * HERM_TOL * z / max(np.abs(z).max(), 1.0)
+        rho = DensityMatrix(mat, (d_a, d_b))
+        pt = partial_transpose(rho)
+        assert np.trace(pt) == np.trace(rho.mat)
+        assert np.abs(pt - pt.conj().T).max() == np.abs(rho.mat - rho.mat.conj().T).max()
+
+
+class TestPtSpectrum:
+    DIMS = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (4, 3), (3, 4))
+
+    @pytest.mark.parametrize("rank", [1, 2, None])
+    def test_bitwise_equal_to_checked_path(self, rank):
+        rng = np.random.default_rng(40 + (rank or 0))
+        for d_a, d_b in self.DIMS:
+            rho = random_density(rng, d_a, d_b, rank=rank)
+            expect = hermitian_eigenvalues(partial_transpose(rho))
+            w = pt_spectrum(rho)
+            assert w.dtype == expect.dtype and np.array_equal(w, expect)
+            assert np.all(np.diff(w) <= 0)
+
+    def test_pure_and_isotropic_states(self):
+        rng = np.random.default_rng(47)
+        for rho in (random_pure(rng, 3, 4).to_density(), isotropic_state(3, 0.8)):
+            assert np.array_equal(
+                pt_spectrum(rho), hermitian_eigenvalues(partial_transpose(rho))
+            )
+
 
 class TestSchmidtCoefficients:
     def test_product_state(self):
@@ -211,6 +257,19 @@ class TestStateValidation:
         with pytest.raises(DimensionMismatchError):
             PureState([1, 0, 0, 0], (3, 2))
 
+    @pytest.mark.parametrize("dims", [(2.9, 2), (True, 4), (2, 2.0), (2, 2, 1), 4, "22"])
+    def test_dims_must_be_integer_pair(self, dims):
+        with pytest.raises(DimensionMismatchError, match="dims"):
+            DensityMatrix(np.eye(4) / 4.0, dims)
+        with pytest.raises(DimensionMismatchError, match="dims"):
+            PureState([1, 0, 0, 0], dims)
+
+    def test_numpy_integer_dims(self):
+        rho = DensityMatrix(np.eye(4) / 4.0, (np.int64(2), np.int32(2)))
+        psi = PureState([1, 0, 0, 0], np.array([1, 4]))
+        assert rho.dims == (2, 2) and psi.dims == (1, 4)
+        assert all(type(d) is int for d in rho.dims + psi.dims)
+
     def test_pure_requires_normalization(self):
         with pytest.raises(ValueError, match="norm"):
             PureState([1, 1, 0, 0], (2, 2))
@@ -243,3 +302,43 @@ class TestStateValidation:
         v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0) * (1.0 + offset)
         with pytest.raises(ValueError, match="norm"):
             PureState(v, (2, 2))
+
+
+class TestValidatedOnce:
+    """States are checked when built through a public constructor and never
+    again: counts the Hermiticity scans of ``linalg.assert_hermitian``."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        check = linalg.assert_hermitian
+
+        def counting(a):
+            calls.append(a.shape)
+            check(a)
+
+        monkeypatch.setattr(linalg, "assert_hermitian", counting)
+        return calls
+
+    def test_one_scan_per_public_constructor(self, scans):
+        rng = np.random.default_rng(50)
+        mat = random_density(rng, 2, 3).mat
+        assert len(scans) == 1
+        DensityMatrix(mat, (2, 3))
+        assert len(scans) == 2
+        DensityMatrix(mat, (2, 3))
+        assert len(scans) == 3
+
+    def test_no_scan_in_state_monotones(self, scans):
+        rng = np.random.default_rng(51)
+        built = [random_pure(rng, 2, 3).to_density(), isotropic_state(3, 0.7)]
+        assert scans == []
+        for rho in built + [random_density(rng, 3, 3)]:
+            del scans[:]
+            negativity(rho), concurrence_lower_bound(rho), tangle_lower_bound(rho)
+            pt_spectrum(rho)
+            assert scans == []
+
+    def test_no_scan_in_cavity_run(self, scans):
+        run_trace(TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 10.0, 8)))
+        assert scans == []

@@ -24,6 +24,11 @@ class TestPredicates:
     def test_order_of_entries_is_irrelevant(self):
         assert majorizes([0.2, 0.5, 0.3], [0.25, 0.4, 0.35])
 
+    def test_empty_vectors(self):
+        # no prefix to compare and equal (zero) totals
+        assert majorizes([], [])
+        assert weakly_submajorizes([], [])
+
     def test_weak_drops_total_equality(self):
         assert weakly_submajorizes([3.0, 0.0], [1.0, 1.0])
         assert not majorizes([3.0, 0.0], [1.0, 1.0])
@@ -64,6 +69,11 @@ class TestComponentwiseMaps:
     def test_pth_power_rejects_small_order(self):
         with pytest.raises(ValueError, match="p must be"):
             pth_power([1.0, 2.0], 0.5)
+
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_pth_power_rejects_non_finite_order(self, p):
+        with pytest.raises(ValueError, match="p must be a finite"):
+            pth_power([1.0, 2.0], p)
 
 
 class TestDoublyStochastic:

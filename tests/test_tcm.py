@@ -83,6 +83,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="nbar"):
             TcmConfig(nbar=nbar, n_max=5)
 
+    @pytest.mark.parametrize("n_max", [20.5, 30.0, True, -1])
+    def test_rejects_non_integer_cutoff(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
+            TcmConfig(nbar=0.0, n_max=n_max)
+
+    def test_accepts_numpy_integer_cutoff(self):
+        assert TcmConfig(nbar=4.0, n_max=np.int64(30)).n_max == 30
+
 
 class TestEvolution:
     def test_time_zero_returns_initial(self):
