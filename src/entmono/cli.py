@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from .convex_roof import RoofConfig, minimize_roof
 from .io import load_state
-from .linalg import DensityMatrix, PureState, pt_spectrum, schmidt_coefficients
+from .linalg import DensityMatrix, PureState, _check_order, pt_spectrum, schmidt_coefficients
 from .majorization import majorizes, weakly_submajorizes
 from .monotones import (
     _spectrum_report,
@@ -30,6 +29,7 @@ from .monotones import (
     tangle_lower_bound,
 )
 from .states import (
+    _check_d,
     isotropic_concurrence_bound,
     isotropic_state,
     isotropic_tangle_bound,
@@ -42,18 +42,20 @@ class UsageError(Exception):
     """Bad flag combinations that argparse cannot catch itself."""
 
 
+def _library_rule(check, value):
+    """Apply a library input check, its ``ValueError`` as a usage error."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _order(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value < 1.0:
-        raise argparse.ArgumentTypeError("must be a finite real number >= 1")
-    return value
+    return _library_rule(_check_order, float(text))
 
 
 def _dimension(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("must be an integer >= 2")
-    return value
+    return _library_rule(_check_d, int(text))
 
 
 def _count(text: str) -> int:

@@ -177,15 +177,21 @@ def ensemble_from_unitary(rho: DensityMatrix, u) -> Ensemble:
 
 
 def _ensemble(u: np.ndarray, s: np.ndarray, dims) -> Ensemble:
-    """Normalized members ``u @ s`` of a checked isometry, minus underflows."""
+    """Normalized members ``u @ s`` of a checked isometry, minus underflows.
+
+    The weights sum to the trace of the kept eigenvalues, which misses 1 by
+    the discarded null space, so the result skips the public checks of
+    :class:`Ensemble`, as :meth:`DensityMatrix._from_psd` does for states.
+    """
     raw = u @ s
     weights = np.einsum("ij,ij->i", raw, raw.conj()).real
     keep = weights > 1e-12
-    probs, members = [], []
-    for w_i, vec in zip(weights[keep], raw[keep]):
-        probs.append(w_i)
-        members.append(PureState(vec / np.sqrt(w_i), dims))
-    return Ensemble(np.array(probs), members)
+    probs = weights[keep]
+    probs.flags.writeable = False
+    ens = Ensemble.__new__(Ensemble)
+    ens.probabilities, ens.dims = probs, dims
+    ens.states = [PureState(vec / np.sqrt(w_i), dims) for w_i, vec in zip(probs, raw[keep])]
+    return ens
 
 
 def average_objective(ensemble: Ensemble, objective: str = "concurrence") -> float:

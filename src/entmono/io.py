@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState
+from .linalg import DensityMatrix, PureState, _is_integer
 
 
 class StateFormatError(ValueError):
@@ -30,12 +30,9 @@ def _rect_array(obj, key: str) -> np.ndarray:
     if width == 0 or any(len(r) != width for r in obj):
         raise StateFormatError(f'"{key}" is not rectangular')
     try:
-        arr = np.array(obj, dtype=np.float64)
+        return np.array(obj, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise StateFormatError(f'"{key}" contains non-numeric entries') from exc
-    if not np.all(np.isfinite(arr)):
-        raise StateFormatError(f'"{key}" contains non-finite entries')
-    return arr
 
 
 def state_from_dict(obj) -> DensityMatrix | PureState:
@@ -46,7 +43,7 @@ def state_from_dict(obj) -> DensityMatrix | PureState:
     if missing:
         raise StateFormatError(f"missing keys: {', '.join(missing)}")
     d_a, d_b = obj["d_a"], obj["d_b"]
-    if any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in (d_a, d_b)):
+    if any(not _is_integer(d) or d < 1 for d in (d_a, d_b)):
         raise StateFormatError('"d_a" and "d_b" must be positive integers')
     kind = obj["kind"]
     if kind not in ("density", "pure"):

@@ -15,8 +15,9 @@ Matrices are plain ``numpy`` arrays in row-major bipartite ordering: the
 composite index of row ``(i, j)`` is ``i * d_b + j`` with ``i`` labelling
 subsystem A and ``j`` labelling subsystem B.
 
-The state-validation thresholds, and the rule for which eigenvalues are
-zero, are fixed constants of this module; no call can change them:
+The state-validation thresholds, the rule for which eigenvalues are zero
+and the majorization tolerance are fixed constants of this module; no call
+can change them:
 
 - ``HERM_TOL = 1e-8``: largest ``|a - a^H|`` entry, relative to ``max(1, |a|_max)``;
 - ``TRACE_TOL = 1e-8``: largest ``|tr rho - 1|`` of a density matrix;
@@ -25,7 +26,10 @@ zero, are fixed constants of this module; no call can change them:
 - ``IMAG_TOL = 1e-8``: largest imaginary part of a maximally entangled overlap;
 - ``ZERO_EIG_TOL = 1e-10``: eigenvalues with ``|lambda| <= ZERO_EIG_TOL * |lambda|_max``
   are zero (:func:`zero_cutoff`), at every scale, for the negativity, the
-  convex-roof null space and the cavity run's rank estimate alike.
+  convex-roof null space and the cavity run's rank estimate alike;
+- ``MAJ_TOL = 1e-12``: prefix sums compared by :mod:`entmono.majorization` may
+  differ by ``MAJ_TOL * (|x|_1 + |y|_1)``, so its predicates are scale-free; a
+  doubly stochastic row or column sum may miss 1 by ``MAJ_TOL * (|row|_1 + 1)``.
 
 The 1e-8 thresholds are loose because inputs arrive from file parsing or from
 time evolution with accumulated round-off.
@@ -41,6 +45,7 @@ PSD_TOL = 1e-8
 NORM_TOL = 1e-8
 IMAG_TOL = 1e-8
 ZERO_EIG_TOL = 1e-10
+MAJ_TOL = 1e-12
 
 
 class NonHermitianError(ValueError):
@@ -72,6 +77,14 @@ def _as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 def _is_integer(x) -> bool:
     """True for Python and numpy integers; ``bool`` is not a count."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_order(p) -> float:
+    """The order ``p`` of the monotone family as a float: finite and ``>= 1``."""
+    p = float(p)
+    if not np.isfinite(p) or p < 1.0:
+        raise ValueError(f"p must be a finite real number >= 1, got {p!r}")
+    return p
 
 
 def _check_dims(dims, size: int) -> tuple[int, int]:
@@ -145,10 +158,10 @@ class DensityMatrix:
         tr = mat.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {TRACE_TOL:g}")
-        w = np.linalg.eigvalsh(mat)
-        if w[0] < -PSD_TOL:
+        w = _eigvalsh_descending(mat)
+        if w[-1] < -PSD_TOL:
             raise ValueError(
-                f"density matrix has eigenvalue {w[0]:.3e} below -PSD_TOL ({-PSD_TOL:g})"
+                f"density matrix has eigenvalue {w[-1]:.3e} below -PSD_TOL ({-PSD_TOL:g})"
             )
         mat = mat.copy()
         mat.flags.writeable = False
@@ -236,7 +249,7 @@ def schmidt_coefficients(psi: PureState) -> np.ndarray:
     d_a, d_b = psi.dims
     m = psi.vec.reshape(d_a, d_b)
     g = m @ m.conj().T if d_a <= d_b else m.T @ m.conj()
-    w = np.linalg.eigvalsh(g)[::-1]
+    w = _eigvalsh_descending(g)
     return np.sqrt(np.clip(w, 0.0, None))
 
 

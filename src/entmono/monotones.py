@@ -23,6 +23,7 @@ import numpy as np
 from .linalg import (
     DensityMatrix,
     PureState,
+    _check_order,
     hermitian_eigenvalues,
     pt_spectrum,
     schmidt_coefficients,
@@ -74,9 +75,7 @@ def _spectrum_report(w: np.ndarray, p: float) -> MonotoneReport:
     underflows at large ``p`` nor overflows at large magnitudes, though
     ``power_sum = pnorm ** p`` can still leave the float range.
     """
-    p = float(p)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"monotone order p must be a real number >= 1, got {p!r}")
+    p = _check_order(p)
     neg = w[w < -zero_cutoff(w)]
     pnorm = psum = 0.0
     if neg.size:

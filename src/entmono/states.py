@@ -17,12 +17,12 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, max_entangled_vector
+from .linalg import DensityMatrix, PureState, _is_integer, max_entangled_vector
 
 
 def _check_d(d: int) -> int:
-    if int(d) != d or d < 2:
-        raise ValueError(f"isotropic dimension must be an integer >= 2, got {d!r}")
+    if not _is_integer(d) or d < 2:
+        raise ValueError(f"isotropic dimension d must be an integer >= 2, got {d!r}")
     return int(d)
 
 
@@ -71,8 +71,8 @@ def isotropic_pt_spectrum(d: int, fidelity: float) -> list[tuple[float, int]]:
     ``d(d-1)/2``. The second becomes non-negative once ``lam <= 1/(d+1)``,
     i.e. ``F <= 1/d``.
     """
-    d = _check_d(d)
     lam = mixing_parameter(d, fidelity)
+    d = int(d)
     base = (1.0 - lam) / (d * d)
     return [
         (base + lam / d, d * (d + 1) // 2),
@@ -89,8 +89,8 @@ def isotropic_concurrence_bound(d: int, fidelity: float) -> float:
     threshold, so the function is continuous. This bound coincides with the
     exact I-concurrence of isotropic states.
     """
-    d = _check_d(d)
     lam = mixing_parameter(d, fidelity)
+    d = int(d)
     if lam <= 1.0 / (d + 1.0):
         return 0.0
     return (2.0 / d) * ((lam - 1.0) / d + lam) * math.sqrt(d * (d - 1) / 2.0)

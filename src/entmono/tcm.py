@@ -50,7 +50,7 @@ def coherent_state(alpha: float, n_max: int) -> np.ndarray:
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha < 0:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    if int(n_max) != n_max or n_max < 0:
+    if not _is_integer(n_max) or n_max < 0:
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     n_max = int(n_max)
     n = np.arange(n_max + 1)

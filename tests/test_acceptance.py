@@ -136,7 +136,6 @@ def test_criterion_07_triangle_convexity_majorization():
         if not majorizes(
             hermitian_eigenvalues(a) + hermitian_eigenvalues(b),
             hermitian_eigenvalues(a + b),
-            tol=1e-9,
         ):
             violation = max(violation, 1.0)
     _report(7, "triangle, convexity, eigenvalue majorization (500 trials)",

@@ -1,7 +1,9 @@
 """Every name the package exports, and every callable the benchmark traces,
-resolves, so an API cut fails here before it breaks the benchmark."""
+resolves, so an API cut fails here before it breaks the benchmark; and no
+exported callable takes a tolerance."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import entmono
@@ -19,6 +21,16 @@ def _spans():
 def test_exported_names_resolve():
     missing = [name for name in entmono.__all__ if not hasattr(entmono, name)]
     assert not missing
+
+
+def test_no_tolerance_parameters():
+    # every tolerance is a fixed constant of entmono.linalg
+    for name in entmono.__all__:
+        obj = getattr(entmono, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, BaseException):
+            continue  # exception classes take only a message and have no signature
+        params = inspect.signature(obj).parameters
+        assert not [p for p in params if p == "tol" or p.endswith("_tol")], name
 
 
 def test_traced_functions_resolve():

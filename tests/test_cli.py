@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import random_density
 
-from entmono import DensityMatrix, PureState, save_state
+from entmono import DensityMatrix, PureState, monotone_report, pth_power, save_state
 from entmono.cli import main
 
 
@@ -203,6 +203,19 @@ class TestErrorPaths:
         assert code == 1
         assert "finite" in err
 
+    @pytest.mark.parametrize("p", ["0.5", "-1", "nan", "inf"])
+    def test_order_rule_is_shared(self, capsys, bell_file, p):
+        messages = set()
+        for call in (lambda: monotone_report(np.eye(2), float(p)),
+                     lambda: pth_power([1.0, 2.0], float(p))):
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        code, _, err = run(capsys, "monotone", "--p", p, "--input", bell_file)
+        assert code == 1
+        assert messages.pop() in err
+
     def test_small_dimension_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "isotropic", "--d", "1", "--steps", "2")
         assert code == 1
@@ -221,6 +234,15 @@ class TestErrorPaths:
         code, _, err = run(capsys, "negativity", "--input", str(path))
         assert code == 2
         assert "line 2" in err
+
+    def test_non_finite_state_file_names_path(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"d_a": 1, "d_b": 2, "kind": "density",
+                                    "re": [[float("nan"), 0.0], [0.0, 0.5]],
+                                    "im": [[0.0, 0.0], [0.0, 0.0]]}))
+        code, _, err = run(capsys, "negativity", "--input", str(path))
+        assert code == 2
+        assert str(path) in err and "non-finite" in err
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

@@ -19,6 +19,7 @@ from entmono import (
     tangle_lower_bound,
 )
 from entmono.convex_roof import numerical_rank, random_isometry
+from entmono.linalg import ZERO_EIG_TOL
 
 BELL = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
 PRODUCT = PureState([1, 0, 0, 0], (2, 2))
@@ -62,6 +63,34 @@ class TestEnsembleFromUnitary:
         rho = isotropic_state(2, 0.9)  # full rank: 4
         with pytest.raises(RankMismatchError):
             ensemble_from_unitary(rho, np.eye(3))
+
+
+class TestSubCutoffNullSpace:
+    """A valid 2x128 state of rank 2 whose 254 other eigenvalues sit just below
+    the zero cutoff and hold 1.2e-8 of the weight, more than the probability
+    sum check of a user-built :class:`Ensemble` allows."""
+
+    @pytest.fixture(scope="class")
+    def rho(self):
+        small = 0.98 * ZERO_EIG_TOL  # relative to the largest eigenvalue
+        top = 1.0 / (2.0 + 254 * small)
+        w = np.concatenate([[top, top], np.full(254, small * top)])
+        assert 1.1e-8 < w[2:].sum() < 1.3e-8
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        q = np.linalg.qr(z)[0]
+        return DensityMatrix((q * w) @ q.conj().T, (2, 128))
+
+    def test_roof_search_returns(self, rho):
+        for objective in ("concurrence", "tangle"):
+            cfg = RoofConfig(objective=objective, restarts=1, max_iters=20)
+            ens = minimize_roof(rho, cfg).ensemble
+            assert np.abs(ens.mixture() - rho.mat).max() <= 1e-8
+
+    def test_ensemble_from_unitary_returns(self, rho):
+        ens = ensemble_from_unitary(rho, np.eye(2))
+        assert len(ens) == 2
+        assert np.abs(ens.mixture() - rho.mat).max() <= 1e-8
 
 
 class TestEnsembleValidation:

@@ -22,7 +22,7 @@ from entmono import (
     tangle_lower_bound,
 )
 from entmono import linalg
-from entmono.linalg import HERM_TOL, TRACE_TOL, max_entangled_vector
+from entmono.linalg import HERM_TOL, TRACE_TOL, ConvergenceError, max_entangled_vector
 
 
 def char_poly_roots_3x3(a):
@@ -302,6 +302,25 @@ class TestStateValidation:
         v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0) * (1.0 + offset)
         with pytest.raises(ValueError, match="norm"):
             PureState(v, (2, 2))
+
+
+def test_eigensolver_failure_is_a_convergence_error(monkeypatch):
+    rng = np.random.default_rng(60)
+    rho, psi = random_density(rng, 2, 3), random_pure(rng, 2, 3)
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    calls = [
+        lambda: DensityMatrix(rho.mat, rho.dims),
+        lambda: schmidt_coefficients(psi),
+        lambda: hermitian_eigenvalues(rho.mat),
+        lambda: pt_spectrum(rho),
+    ]
+    for call in calls:
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            call()
 
 
 class TestValidatedOnce:

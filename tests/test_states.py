@@ -35,6 +35,24 @@ class TestMaxEntangled:
             max_entangled(1)
 
 
+class TestIntegerDimension:
+    @pytest.mark.parametrize("build", [
+        max_entangled, isotropic_state, mixing_parameter, isotropic_pt_spectrum,
+        isotropic_concurrence_bound,
+    ])
+    def test_integral_float_is_rejected(self, build):
+        args = () if build is max_entangled else (0.5,)
+        for d in (3.0, np.float64(3)):
+            with pytest.raises(ValueError, match="dimension d must be an integer"):
+                build(d, *args)
+
+    def test_numpy_integer_is_accepted(self):
+        assert isotropic_state(np.int64(3), 0.5).dims == (3, 3)
+        assert max_entangled(np.int32(3)).dims == (3, 3)
+        assert mixing_parameter(np.int64(3), 0.5) == mixing_parameter(3, 0.5)
+        assert isotropic_pt_spectrum(np.int64(3), 0.5) == isotropic_pt_spectrum(3, 0.5)
+
+
 class TestIsotropicState:
     def test_zero_mixing_is_maximally_mixed(self):
         for d in (2, 3):

@@ -63,6 +63,14 @@ class TestCoherentState:
         with pytest.raises(ValueError, match="alpha"):
             coherent_state(alpha, 10)
 
+    @pytest.mark.parametrize("n_max", [20.0, np.float64(20), True], ids=["float", "np", "bool"])
+    def test_rejects_non_integer_cutoff(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
+            coherent_state(2.0, n_max)
+
+    def test_accepts_numpy_integer_cutoff(self):
+        assert np.array_equal(coherent_state(2.0, np.int64(20)), coherent_state(2.0, 20))
+
 
 class TestConfig:
     def test_default_is_adequate(self):
