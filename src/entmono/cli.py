@@ -4,8 +4,15 @@ Every computation in the library is reachable from here; grid scans emit
 CSV with 17-significant-digit numbers and ``\\n`` line endings, so repeated
 invocations with identical arguments produce byte-identical output.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on computation or file
-errors.
+Exit codes:
+
+- 0 on success;
+- 1 when the command line does not parse, or a flag fails its own check
+  (``--p``, ``--d``, ``--steps``, ``--x``/``--y``, ``--numeric-check`` with
+  ``--d > 10``);
+- 2 when a state file is invalid, when the library rejects the configuration
+  built from the flags (``RoofConfig`` or ``TcmConfig``: ``--restarts 0``,
+  ``--nbar nan``, an inadequate ``--n-max``), or when a computation fails.
 """
 
 from __future__ import annotations

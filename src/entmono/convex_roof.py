@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TRACE_TOL, DensityMatrix, PureState, _is_integer, zero_cutoff
+from .linalg import ISOMETRY_TOL, TRACE_TOL, DensityMatrix, PureState, _is_integer, zero_cutoff
 from .monotones import pure_concurrence, pure_tangle
 
-ISOMETRY_TOL = 1e-10
 # Convergence threshold on the Riemannian gradient norm of each descent.
 STEP_TOL = 1e-7
 

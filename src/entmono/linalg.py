@@ -15,24 +15,29 @@ Matrices are plain ``numpy`` arrays in row-major bipartite ordering: the
 composite index of row ``(i, j)`` is ``i * d_b + j`` with ``i`` labelling
 subsystem A and ``j`` labelling subsystem B.
 
-The state-validation thresholds, the rule for which eigenvalues are zero
-and the majorization tolerance are fixed constants of this module; no call
-can change them:
+The input-acceptance thresholds, the rule for which eigenvalues are zero and
+the majorization tolerance are the fixed constants of this table; no call can
+change them, and each rule is applied once, at its input's scale:
 
-- ``HERM_TOL = 1e-8``: largest ``|a - a^H|`` entry, relative to ``max(1, |a|_max)``;
-- ``TRACE_TOL = 1e-8``: largest ``|tr rho - 1|`` of a density matrix;
+- ``HERM_TOL = 1e-8``: largest ``|a - a^H|`` entry, relative to the scale of
+  :func:`assert_hermitian`: 1 for a density matrix, whose unit trace fixes its
+  scale, and ``|a|_max`` for a raw matrix given to :func:`hermitian_eigenvalues`;
+- ``TRACE_TOL = 1e-8``: largest miss of 1 by a density matrix's trace, a pure
+  state's squared norm or an ensemble's probability sum;
 - ``PSD_TOL = 1e-8``: largest negative eigenvalue magnitude of a density matrix;
-- ``NORM_TOL = 1e-8``: largest ``| |v|^2 - 1 |`` of a pure state (its density's trace);
-- ``IMAG_TOL = 1e-8``: largest imaginary part of a maximally entangled overlap;
 - ``ZERO_EIG_TOL = 1e-10``: eigenvalues with ``|lambda| <= ZERO_EIG_TOL * |lambda|_max``
   are zero (:func:`zero_cutoff`), at every scale, for the negativity, the
   convex-roof null space and the cavity run's rank estimate alike;
 - ``MAJ_TOL = 1e-12``: prefix sums compared by :mod:`entmono.majorization` may
   differ by ``MAJ_TOL * (|x|_1 + |y|_1)``, so its predicates are scale-free; a
-  doubly stochastic row or column sum may miss 1 by ``MAJ_TOL * (|row|_1 + 1)``.
+  doubly stochastic row or column sum may miss 1 by ``MAJ_TOL * (|row|_1 + 1)``;
+- ``ISOMETRY_TOL = 1e-10``: largest ``|u^H u - I|`` entry of a mixing matrix
+  given to :func:`entmono.convex_roof.ensemble_from_unitary`.
 
 The 1e-8 thresholds are loose because inputs arrive from file parsing or from
-time evolution with accumulated round-off.
+time evolution with accumulated round-off. The overlap with the maximally
+entangled state needs no threshold: :func:`fidelity_max_entangled` returns
+its real part, which is exactly the overlap with the Hermitian part of ``rho``.
 """
 
 from __future__ import annotations
@@ -42,10 +47,9 @@ import numpy as np
 HERM_TOL = 1e-8
 TRACE_TOL = 1e-8
 PSD_TOL = 1e-8
-NORM_TOL = 1e-8
-IMAG_TOL = 1e-8
 ZERO_EIG_TOL = 1e-10
 MAJ_TOL = 1e-12
+ISOMETRY_TOL = 1e-10
 
 
 class NonHermitianError(ValueError):
@@ -104,11 +108,11 @@ def _check_dims(dims, size: int) -> tuple[int, int]:
     return d_a, d_b
 
 
-def assert_hermitian(a: np.ndarray) -> None:
+def assert_hermitian(a: np.ndarray, scale: float = 1.0) -> None:
     """Raise :class:`NonHermitianError` unless ``max |a - a^H|`` is within
-    ``HERM_TOL * max(1, |a|_max)``: relative for large matrices, absolute near zero."""
-    dev = np.abs(a - a.conj().T).max() if a.size else 0.0
-    tol = HERM_TOL * (max(1.0, np.abs(a).max()) if a.size else 1.0)
+    ``HERM_TOL * scale``, with ``scale`` the size of ``a``'s entries."""
+    dev = np.abs(a - a.conj().T).max(initial=0.0)
+    tol = HERM_TOL * scale
     if dev > tol:
         raise NonHermitianError(
             f"matrix deviates from Hermiticity by {dev:.3e} (tolerance {tol:.3e})"
@@ -122,10 +126,12 @@ def zero_cutoff(w: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
-    """All eigenvalues of a square matrix, Hermitian within ``HERM_TOL``, in
-    descending order (degenerate ones in no order beyond the numeric sort)."""
+    """All eigenvalues of a square matrix, Hermitian within ``HERM_TOL *
+    |a|_max``, in descending order (degenerate ones in no order beyond the
+    numeric sort). The rule is scale-free: ``c * a`` passes exactly when ``a``
+    does, for every power of two ``c`` short of overflow and underflow."""
     a = _as_square_matrix(a)
-    assert_hermitian(a)
+    assert_hermitian(a, np.abs(a).max(initial=0.0))
     return _eigvalsh_descending(a)
 
 
@@ -146,9 +152,10 @@ class DensityMatrix:
     fixed thresholds and stores a read-only copy, so instances are immutable
     and safe to share across threads; functions that take one trust these
     checks. ``_from_psd`` trusts its caller instead: it serves
-    :meth:`PureState.to_density`, :func:`entmono.tcm.reduce_atom_field` and
-    :func:`entmono.states.isotropic_state`, which each build a fresh Gram
-    matrix or mixture from a validated vector or ``(d, F)``.
+    :meth:`PureState.to_density`, :func:`entmono.tcm.reduce_atom_field`,
+    :func:`entmono.tcm.run_trace` and :func:`entmono.states.isotropic_state`,
+    which each build a fresh Gram matrix or mixture from a validated vector,
+    an evolved state or ``(d, F)``.
     """
 
     def __init__(self, mat, dims):
@@ -187,17 +194,17 @@ class PureState:
     """Bipartite pure state vector with subsystem dimensions ``(d_a, d_b)``.
 
     The amplitude vector is stored read-only. Its squared norm, the trace of
-    :meth:`to_density`, must be 1 within ``NORM_TOL``.
+    :meth:`to_density`, must be 1 within ``TRACE_TOL``.
     """
 
     def __init__(self, vec, dims):
         vec = _as_complex_array(vec, "state vector").reshape(-1)
         self.dims = _check_dims(dims, vec.size)
         nrm2 = np.vdot(vec, vec).real
-        if abs(nrm2 - 1.0) > NORM_TOL:
+        if abs(nrm2 - 1.0) > TRACE_TOL:
             raise ValueError(
                 f"state vector squared norm {nrm2:.12g}, the trace of its density "
-                f"matrix, is not 1 within {NORM_TOL:g}"
+                f"matrix, is not 1 within {TRACE_TOL:g}"
             )
         vec = vec.copy()
         vec.flags.writeable = False
@@ -264,8 +271,9 @@ def max_entangled_vector(d: int) -> np.ndarray:
 def fidelity_max_entangled(rho: DensityMatrix) -> float:
     """Overlap of ``rho`` with the maximally entangled state, in ``[0, 1]``.
 
-    Requires equal subsystem dimensions. The overlap of a valid state is
-    real; a residual imaginary part beyond ``IMAG_TOL`` raises.
+    Requires equal subsystem dimensions. Returns the real part, clamped to
+    ``[0, 1]``: the overlap with the Hermitian part ``(rho + rho^H) / 2``, so
+    the Hermiticity skew a valid state may carry does not matter.
     """
     d_a, d_b = rho.dims
     if d_a != d_b:
@@ -274,6 +282,4 @@ def fidelity_max_entangled(rho: DensityMatrix) -> float:
         )
     idx = np.arange(d_a) * (d_a + 1)
     val = rho.mat[np.ix_(idx, idx)].sum() / d_a
-    if abs(val.imag) > IMAG_TOL:
-        raise ValueError(f"overlap has imaginary part {val.imag:.3e}")
     return float(min(max(val.real, 0.0), 1.0))

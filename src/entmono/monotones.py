@@ -64,18 +64,19 @@ class MonotoneReport:
 
 def monotone_report(a, p: float = 2.0) -> MonotoneReport:
     """Negative-spectrum norms of a Hermitian matrix ``a`` for one order ``p``."""
-    return _spectrum_report(hermitian_eigenvalues(a), p)
+    return _spectrum_report(hermitian_eigenvalues(a), _check_order(p))
 
 
 def _spectrum_report(w: np.ndarray, p: float) -> MonotoneReport:
-    """Negative-spectrum norms of a descending spectrum ``w``.
+    """Negative-spectrum norms of a descending spectrum ``w`` for a valid order
+    ``p``: the state monotones fix it, :func:`monotone_report` and
+    ``entmono monotone --p`` check it.
 
     Applies the zero cutoff of :func:`negative_eigenvalues`. ``pnorm`` is
     ``m * ||x / m||_p`` with ``m`` the largest negative magnitude: it neither
     underflows at large ``p`` nor overflows at large magnitudes, though
     ``power_sum = pnorm ** p`` can still leave the float range.
     """
-    p = _check_order(p)
     neg = w[w < -zero_cutoff(w)]
     pnorm = psum = 0.0
     if neg.size:

@@ -21,6 +21,13 @@ module is an effective time.
 Tracing out one atom of the evolved pure state leaves an atom-field density
 matrix of rank at most two, the structure that makes the tangle bound a
 meaningful probe of the collapse and revival dynamics.
+
+The Fock cutoff ``n_max`` is checked against one fixed threshold,
+``TRUNCATION_TOL = 1e-6``: the truncated coherent state must keep at least
+``1 - TRUNCATION_TOL`` of its weight, and no evolved state may hold more than
+``TRUNCATION_TOL`` of its population in the top two Fock levels. It is a
+constant of this module, not of :mod:`entmono.linalg`, because it concerns
+the cavity model rather than the input states.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ import numpy as np
 
 from .linalg import DensityMatrix, DimensionMismatchError, PureState, _is_integer, zero_cutoff
 from .monotones import tangle_lower_bound
+
+TRUNCATION_TOL = 1e-6
 
 
 class TruncationError(RuntimeError):
@@ -45,7 +54,7 @@ def coherent_state(alpha: float, n_max: int) -> np.ndarray:
     in log space with ``lgamma``, so neither ``n!`` overflows at large ``n``
     nor ``exp(-alpha^2 / 2)`` underflows at large ``alpha``; ``alpha = 0``
     gives the vacuum exactly. Raises :class:`TruncationError` when the
-    truncated weight falls below ``1 - 1e-6``.
+    truncated weight falls below ``1 - TRUNCATION_TOL``.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha < 0:
@@ -60,7 +69,7 @@ def coherent_state(alpha: float, n_max: int) -> np.ndarray:
         log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
         amps = np.exp(n * math.log(alpha) - 0.5 * alpha * alpha - 0.5 * log_fact)
     weight = float(np.sum(amps * amps))
-    if weight < 1.0 - 1e-6:
+    if weight < 1.0 - TRUNCATION_TOL:
         raise TruncationError(
             f"coherent state with alpha={alpha} keeps only {weight:.8f} of its "
             f"weight below n_max={n_max}"
@@ -74,8 +83,13 @@ class TcmConfig:
 
     ``t_grid`` holds effective times ``gt``; the coupling ``g`` sets only the
     unit of time, so it is not a parameter. ``nbar`` must be finite and
-    ``>= 0``, and the cutoff must satisfy ``n_max >= nbar + 6 sqrt(nbar)`` so
-    the coherent tail fits comfortably.
+    ``>= 0``, and the cutoff must satisfy ``n_max >= nbar + 6 sqrt(nbar)``.
+    That rule is necessary, not sufficient: at small ``nbar`` an accepted
+    cutoff can still fail the coherent-weight check of :func:`coherent_state`
+    (``nbar = 1, n_max = 7``; ``nbar = 4, n_max = 16``), and the Fock-level
+    leak check of :func:`evolve` is stricter than the weight check (at
+    ``nbar = 100, n_max = 151`` the weight passes, the leak on the default
+    grid fails), so :func:`run_trace` may raise :class:`TruncationError`.
     """
 
     nbar: float = 100.0
@@ -143,8 +157,8 @@ def evolve(cfg: TcmConfig) -> np.ndarray:
     """Evolve ``|e, e> (x) |alpha>`` over the effective times ``cfg.t_grid``.
 
     Returns the stack of total pure states. Raises
-    :class:`TruncationError` if any output time leaks more than ``1e-6``
-    population into the top two Fock levels.
+    :class:`TruncationError` if any output time leaks more than
+    ``TRUNCATION_TOL`` population into the top two Fock levels.
     """
     fock = cfg.n_max + 1
     psi0 = np.zeros(4 * fock, dtype=np.complex128)
@@ -152,7 +166,7 @@ def evolve(cfg: TcmConfig) -> np.ndarray:
     states = propagate(psi0, cfg.n_max, cfg.t_grid)
     top = states.reshape(-1, 4, fock)[:, :, fock - 2:]
     leak = float(np.max(np.sum(np.abs(top) ** 2, axis=(1, 2))))
-    if leak > 1e-6:
+    if leak > TRUNCATION_TOL:
         raise TruncationError(
             f"population {leak:.3e} in the top two Fock levels; raise n_max"
         )
@@ -203,13 +217,18 @@ def run_trace(cfg: TcmConfig) -> TcmTrace:
     """Full pipeline: evolve, reduce, evaluate the tangle bound per time.
 
     Rank and purity come from the 2 x 2 Gram matrices of the atom-1 branches,
-    which share the atom-field state's nonzero spectrum. Partial transposes
-    go one point at a time, as stacking them needs O(nt n_max^2) memory.
+    which share the atom-field state's nonzero spectrum. Each atom-field state
+    is the trusted Gram matrix ``f^T f^*`` of its branch factor ``f``, as in
+    :func:`reduce_atom_field`, without that function's check of the total
+    state: :func:`evolve` built it. Partial transposes go one point at a
+    time, as stacking them needs O(nt n_max^2) memory.
     """
     states = evolve(cfg)
     branches = states.reshape(states.shape[0], 2, -1)
     gram = np.linalg.eigvalsh(branches @ branches.conj().transpose(0, 2, 1))
     rank = np.sum(gram > zero_cutoff(gram), axis=1)
     purity = np.sum(gram * gram, axis=1)
-    n2pt = np.array([tangle_lower_bound(reduce_atom_field(s, cfg.n_max)) for s in states])
+    dims = (2, cfg.n_max + 1)
+    n2pt = np.array([tangle_lower_bound(DensityMatrix._from_psd(f.T @ f.conj(), dims))
+                     for f in branches])
     return TcmTrace(gt=cfg.t_grid.copy(), n2pt=n2pt, rank_estimate=rank, purity=purity)

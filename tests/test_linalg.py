@@ -11,17 +11,20 @@ from entmono import (
     PureState,
     TcmConfig,
     concurrence_lower_bound,
+    evolve,
     fidelity_max_entangled,
     hermitian_eigenvalues,
     isotropic_state,
+    monotone_report,
     negativity,
     partial_transpose,
     pt_spectrum,
+    reduce_atom_field,
     run_trace,
     schmidt_coefficients,
     tangle_lower_bound,
 )
-from entmono import linalg
+from entmono import linalg, monotones
 from entmono.linalg import HERM_TOL, TRACE_TOL, ConvergenceError, max_entangled_vector
 
 
@@ -98,6 +101,34 @@ class TestHermitianEigenvalues:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestScaleFreeHermiticity:
+    """A raw matrix is judged Hermitian at its own scale, ``HERM_TOL * |a|_max``."""
+
+    @staticmethod
+    def _accepts(a):
+        try:
+            hermitian_eigenvalues(a)
+        except NonHermitianError:
+            return False
+        return True
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([1e-10, 1e-7]))
+    def test_scaling_keeps_the_answer(self, seed, n, rel):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, n)
+        z = random_hermitian(rng, n) * 1j  # anti-Hermitian skew
+        m = h + rel * np.abs(h).max() * z / np.abs(z).max()
+        accepted = self._accepts(m)
+        assert accepted == (rel < HERM_TOL)
+        flips = [k for k in range(-60, 61) if self._accepts(2.0**k * m) != accepted]
+        assert flips == []
+
+    def test_tiny_non_hermitian_matrix_is_rejected(self):
+        with pytest.raises(NonHermitianError):
+            hermitian_eigenvalues(np.array([[0.0, 1e-10], [0.0, 0.0]]))
 
 
 class TestPartialTranspose:
@@ -228,6 +259,15 @@ class TestFidelityMaxEntangled:
 
     def test_isotropic_round_trip(self):
         assert abs(fidelity_max_entangled(isotropic_state(3, 0.7)) - 0.7) < 1e-12
+
+    def test_real_part_of_a_skewed_state(self):
+        # skew 9.8e-9 is within HERM_TOL, but the raw overlap has imaginary part 1.47e-8
+        d = 4
+        mat = isotropic_state(d, 0.7).mat.copy()
+        idx = np.arange(d) * (d + 1)
+        mat[np.ix_(idx, idx)] += 4.9e-9j * (1.0 - np.eye(d))
+        rho = DensityMatrix(mat, (d, d))
+        assert abs(fidelity_max_entangled(rho) - 0.7) < 1e-12
 
     def test_rejects_rectangular(self):
         rng = np.random.default_rng(12)
@@ -361,3 +401,39 @@ class TestValidatedOnce:
     def test_no_scan_in_cavity_run(self, scans):
         run_trace(TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 10.0, 8)))
         assert scans == []
+
+
+class TestInternalDataNotRechecked:
+    """Data the library built itself is not checked again: counts the
+    ``PureState`` checks of the cavity run and the order checks of the state
+    monotones, against one check each on the public path."""
+
+    def test_no_pure_state_check_in_cavity_run(self, monkeypatch):
+        calls = []
+        init = PureState.__init__
+
+        def counting(self, vec, dims):
+            calls.append(dims)
+            init(self, vec, dims)
+
+        monkeypatch.setattr(PureState, "__init__", counting)
+        cfg = TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 10.0, 8))
+        run_trace(cfg)
+        assert calls == []
+        reduce_atom_field(evolve(cfg)[0], cfg.n_max)  # the public reduction checks
+        assert len(calls) == 1
+
+    def test_no_order_check_in_state_monotones(self, monkeypatch):
+        calls = []
+        check = monotones._check_order
+
+        def counting(p):
+            calls.append(p)
+            return check(p)
+
+        monkeypatch.setattr(monotones, "_check_order", counting)
+        rho = isotropic_state(3, 0.7)
+        negativity(rho), concurrence_lower_bound(rho), tangle_lower_bound(rho)
+        assert calls == []
+        monotone_report(partial_transpose(rho), 2.0)  # the public entry point checks
+        assert calls == [2.0]
