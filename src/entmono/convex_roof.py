@@ -15,7 +15,9 @@ the I-concurrence (or I-tangle). Together with the spectral lower bounds of
 
 The search runs independent random-isometry restarts, each refined by
 Riemannian gradient descent on the isometry manifold (analytic Wirtinger
-gradient, polar retraction, Armijo backtracking). The concurrence objective
+gradient, polar retraction, monotone Armijo backtracking that starts from a
+Barzilai-Borwein step). Each descent records how it ended
+(:class:`Descent`). The concurrence objective
 has square-root kinks wherever a member becomes a product state, which is
 precisely where optimal ensembles like to sit; those are handled by
 graduated smoothing, replacing ``sqrt(t)`` with ``sqrt(t + eps^2) - eps``
@@ -93,7 +95,8 @@ class RoofConfig:
     ``ensemble_size`` defaults to ``min(r^2, r + 4)`` for rank ``r`` and may
     not exceed ``4 r^2``. ``max_iters`` caps the descent iterations of each
     smoothing stage of each restart; a descent also stops once its
-    Riemannian gradient norm falls below ``STEP_TOL``.
+    Riemannian gradient norm falls below ``STEP_TOL``, or when backtracking
+    finds no improving step. :attr:`RoofResult.descents` says which.
     """
 
     objective: str = "concurrence"
@@ -119,12 +122,31 @@ class RoofConfig:
 
 
 @dataclass(frozen=True)
+class Descent:
+    """How one descent ended: accepted moves, stop reason, final gradient norm.
+
+    ``stop`` is ``"converged"`` (the Riemannian gradient norm fell below
+    ``STEP_TOL``), ``"max_iters"`` (the budget ran out first) or
+    ``"no_step"`` (backtracking found no improving step).
+    """
+
+    iterations: int
+    stop: str
+    grad_norm: float
+
+
+@dataclass(frozen=True)
 class RoofResult:
-    """Best value found, the ensemble achieving it, and per-restart values."""
+    """Best value found, the ensemble achieving it, and per-restart values.
+
+    ``descents[i][k]`` records stage ``k`` of restart ``i``: one stage per
+    smoothing level for the concurrence, one for the tangle.
+    """
 
     value: float
     ensemble: Ensemble
     restart_values: np.ndarray
+    descents: tuple[tuple[Descent, ...], ...]
 
 
 def _sqrt_members(rho: DensityMatrix) -> np.ndarray:
@@ -231,38 +253,65 @@ def _value_and_grad(u, s, d_a, d_b, objective, eps):
     return value, grad_psi @ s.conj().T
 
 
+def _tangent(u, z):
+    """Projection of ``z`` onto the tangent space of the isometries at ``u``."""
+    uz = u.conj().T @ z
+    return z - u @ (uz + uz.conj().T) * 0.5
+
+
 def _descend(u, s, d_a, d_b, objective, eps, max_iters):
     """Riemannian gradient descent with Armijo backtracking; accepts only
-    strict improvements, so the smoothed value is non-increasing."""
+    strict improvements, so the smoothed value is non-increasing.
+
+    Each backtracking starts from a Barzilai-Borwein step (Barzilai and
+    Borwein, IMA J. Numer. Anal. 8, 141 (1988); on the Stiefel manifold, Wen
+    and Yin, Math. Program. 142, 397 (2013)). With ``step`` the last
+    accepted move and ``dxi`` the change of the Riemannian gradient ``xi``,
+    the old one carried over by tangent projection, the trial step
+    alternates between ``<step,step>/|<step,dxi>|`` and
+    ``|<step,dxi>|/<dxi,dxi>`` (``<a,b> = Re vdot(a, b)``), clipped to
+    [1e-10, 1e10]. The first trial is 1, and so is any trial with
+    ``<step,dxi> = 0`` or a ratio that is not finite. Returns the value, the
+    isometry and the :class:`Descent` record.
+    """
     value, grad = _value_and_grad(u, s, d_a, d_b, objective, eps)
+    xi = _tangent(u, grad)
     t_step = 1.0
-    for _ in range(max_iters):
-        gu = u.conj().T @ grad
-        xi = grad - u @ (gu + gu.conj().T) * 0.5  # tangent-space projection
-        ng2 = float(np.sum(np.abs(xi) ** 2))
+    iters = 0
+    while True:
+        ng2 = float(np.vdot(xi, xi).real)
         if ng2 < STEP_TOL * STEP_TOL:
+            stop = "converged"
             break
-        t_step = min(t_step * 2.0, 1.0)
-        improved = False
+        if iters == max_iters:
+            stop = "max_iters"
+            break
         while t_step * np.sqrt(ng2) > 1e-14:
             cand = _polar(u - t_step * xi)
             c_val, c_grad = _value_and_grad(cand, s, d_a, d_b, objective, eps)
             if c_val <= value - 1e-4 * t_step * ng2:
-                u, value, grad = cand, c_val, c_grad
-                improved = True
                 break
             t_step *= 0.5
-        if not improved:
+        else:
+            stop = "no_step"
             break
-    return value, u
+        iters += 1
+        c_xi = _tangent(cand, c_grad)
+        step, dxi = cand - u, c_xi - _tangent(cand, xi)
+        sy = abs(np.vdot(step, dxi).real)
+        if sy:
+            bb = np.vdot(step, step).real / sy if iters % 2 else sy / np.vdot(dxi, dxi).real
+        t_step = min(max(bb, 1e-10), 1e10) if sy and np.isfinite(bb) else 1.0
+        u, value, xi = cand, c_val, c_xi
+    return value, u, Descent(iters, stop, float(np.sqrt(ng2)))
 
 
 def _refine(u, s, d_a, d_b, objective, max_iters):
-    if objective == "tangle":
-        return _descend(u, s, d_a, d_b, objective, 0.0, max_iters)
-    for eps in _EPS_STAGES:
-        value, u = _descend(u, s, d_a, d_b, objective, eps, max_iters)
-    return value, u
+    descents = []
+    for eps in _EPS_STAGES if objective == "concurrence" else (0.0,):
+        value, u, record = _descend(u, s, d_a, d_b, objective, eps, max_iters)
+        descents.append(record)
+    return value, u, tuple(descents)
 
 
 def minimize_roof(rho: DensityMatrix, cfg: RoofConfig | None = None) -> RoofResult:
@@ -289,15 +338,18 @@ def minimize_roof(rho: DensityMatrix, cfg: RoofConfig | None = None) -> RoofResu
     best_u = None
     best_val = np.inf
     restart_values = np.empty(cfg.restarts)
+    descents = []
     for idx, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)):
         rng = np.random.default_rng(child)
         u = random_isometry(m, r, rng)
-        val, u = _refine(u, s, d_a, d_b, cfg.objective, cfg.max_iters)
+        val, u, record = _refine(u, s, d_a, d_b, cfg.objective, cfg.max_iters)
         restart_values[idx] = val
+        descents.append(record)
         if val < best_val:
             best_val, best_u = val, u
 
     ensemble = _ensemble(best_u, s, rho.dims)
     value = average_objective(ensemble, cfg.objective)
     restart_values.flags.writeable = False
-    return RoofResult(value=value, ensemble=ensemble, restart_values=restart_values)
+    return RoofResult(value=value, ensemble=ensemble, restart_values=restart_values,
+                      descents=tuple(descents))

@@ -18,8 +18,10 @@ from entmono import (
     pure_concurrence,
     tangle_lower_bound,
 )
+from entmono import convex_roof
 from entmono.convex_roof import numerical_rank, random_isometry
 from entmono.linalg import ZERO_EIG_TOL
+from entmono.tcm import TcmConfig, evolve, reduce_atom_field
 
 BELL = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
 PRODUCT = PureState([1, 0, 0, 0], (2, 2))
@@ -242,3 +244,59 @@ class TestMinimizeRoof:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="objective"):
             RoofConfig(objective="entropy")
+
+
+class TestDescentRecord:
+    def test_budget_of_one_reports_max_iters(self):
+        res = minimize_roof(isotropic_state(3, 0.8), RoofConfig(restarts=2, max_iters=1, seed=0))
+        assert len(res.descents) == 2
+        for stages in res.descents:
+            assert len(stages) == 6  # one per smoothing level
+            for record in stages:
+                assert (record.iterations, record.stop) == (1, "max_iters")
+                assert record.grad_norm > 0.0
+
+    def test_tangle_search_converges(self):
+        rho = random_density(np.random.default_rng(16), 2, 2, rank=2)
+        cfg = RoofConfig(objective="tangle", restarts=3, max_iters=500, seed=17)
+        res = minimize_roof(rho, cfg)
+        for (record,) in res.descents:
+            assert record.stop == "converged"
+            assert 0 < record.iterations < 500
+            assert record.grad_norm < 1e-7
+
+
+class TestDescentCost:
+    """Ceilings on objective evaluations, about 1.25x the counts of the
+    Barzilai-Borwein descent; counts do not depend on machine speed."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = [0]
+        value_and_grad = convex_roof._value_and_grad
+
+        def counting(*args):
+            calls[0] += 1
+            return value_and_grad(*args)
+
+        monkeypatch.setattr(convex_roof, "_value_and_grad", counting)
+        return calls
+
+    def test_isotropic_concurrence_search(self, evaluations):
+        # 4,366 evaluations; 15,025 with trial steps capped at 1
+        minimize_roof(isotropic_state(3, 0.8), RoofConfig(restarts=1, max_iters=1500, seed=6))
+        assert evaluations[0] <= 5500
+
+    def test_cavity_tangle_search(self, evaluations):
+        # the first criterion-11 point: 81 evaluations; 892 with trial steps
+        # capped at 1
+        cfg = TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.5, 12.0, 5))
+        rho = reduce_atom_field(evolve(cfg)[0], 30)
+        minimize_roof(rho, RoofConfig(objective="tangle", restarts=4, max_iters=500, seed=110))
+        assert evaluations[0] <= 100
+
+
+def test_every_restart_reaches_the_isotropic_value():
+    bound = isotropic_concurrence_bound(3, 0.8)
+    res = minimize_roof(isotropic_state(3, 0.8), RoofConfig(restarts=2, max_iters=1500, seed=0))
+    assert np.all(np.abs(res.restart_values - bound) <= 1e-5)
