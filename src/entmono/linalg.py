@@ -24,7 +24,9 @@ change them, and each rule is applied once, at its input's scale:
   scale, and ``|a|_max`` for a raw matrix given to :func:`hermitian_eigenvalues`;
 - ``TRACE_TOL = 1e-8``: largest miss of 1 by a density matrix's trace, a pure
   state's squared norm or an ensemble's probability sum;
-- ``PSD_TOL = 1e-8``: largest negative eigenvalue magnitude of a density matrix;
+- ``PSD_TOL = 1e-8``: largest negative eigenvalue magnitude of a density matrix,
+  checked by a Cholesky factorisation of ``rho + PSD_TOL * I``; an eigenvalue
+  is computed only when that factorisation fails, and decides;
 - ``ZERO_EIG_TOL = 1e-10``: eigenvalues with ``|lambda| <= ZERO_EIG_TOL * |lambda|_max``
   are zero (:func:`zero_cutoff`), at every scale, for the negativity, the
   convex-roof null space and the cavity run's rank estimate alike;
@@ -156,7 +158,14 @@ class DensityMatrix:
     :func:`entmono.tcm.run_trace` and :func:`entmono.states.isotropic_state`,
     which each build a fresh Gram matrix or mixture from a validated vector,
     an evolved state or ``(d, F)``.
+
+    :func:`pt_spectrum` keeps the partial-transpose spectrum on the instance,
+    read-only, the first time it is asked for, so every state monotone of one
+    state shares one eigensolve. Two threads that race on the first call each
+    compute the same read-only array, and one of them is kept.
     """
+
+    _pt_spectrum = None
 
     def __init__(self, mat, dims):
         mat = _as_square_matrix(mat, "density matrix")
@@ -165,11 +174,16 @@ class DensityMatrix:
         tr = mat.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {TRACE_TOL:g}")
-        w = _eigvalsh_descending(mat)
-        if w[-1] < -PSD_TOL:
-            raise ValueError(
-                f"density matrix has eigenvalue {w[-1]:.3e} below -PSD_TOL ({-PSD_TOL:g})"
-            )
+        shifted = mat.copy()
+        shifted.flat[:: mat.shape[0] + 1] += PSD_TOL
+        try:
+            np.linalg.cholesky(shifted)  # reads the lower triangle, as eigvalsh does
+        except np.linalg.LinAlgError:
+            w = _eigvalsh_descending(mat)
+            if w[-1] < -PSD_TOL:
+                raise ValueError(
+                    f"density matrix has eigenvalue {w[-1]:.3e} below -PSD_TOL ({-PSD_TOL:g})"
+                ) from None
         mat = mat.copy()
         mat.flags.writeable = False
         self.mat, self.dims = mat, dims
@@ -239,10 +253,17 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
 
 
 def pt_spectrum(rho: DensityMatrix) -> np.ndarray:
-    """Eigenvalues of :func:`partial_transpose` of ``rho``, descending, from one
-    eigensolve and no second check: the transpose permutes entries, so it keeps
-    the validated state's trace and largest ``|a - a^H|`` entry exactly."""
-    return _eigvalsh_descending(partial_transpose(rho))
+    """Eigenvalues of :func:`partial_transpose` of ``rho``, descending, as a
+    read-only array. One eigensolve per state, made on the first call and
+    kept on ``rho``, and no second check: the transpose permutes entries, so
+    it keeps the validated state's trace and largest ``|a - a^H|`` entry
+    exactly."""
+    w = rho._pt_spectrum
+    if w is None:
+        w = _eigvalsh_descending(partial_transpose(rho))
+        w.flags.writeable = False
+        rho._pt_spectrum = w
+    return w
 
 
 def schmidt_coefficients(psi: PureState) -> np.ndarray:

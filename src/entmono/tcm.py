@@ -61,14 +61,7 @@ def coherent_state(alpha: float, n_max: int) -> np.ndarray:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if not _is_integer(n_max) or n_max < 0:
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
-    n_max = int(n_max)
-    n = np.arange(n_max + 1)
-    if alpha == 0.0:
-        amps = (n == 0).astype(np.float64)
-    else:
-        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
-        amps = np.exp(n * math.log(alpha) - 0.5 * alpha * alpha - 0.5 * log_fact)
-    weight = float(np.sum(amps * amps))
+    amps, weight = _truncated_coherent(alpha, int(n_max))
     if weight < 1.0 - TRUNCATION_TOL:
         raise TruncationError(
             f"coherent state with alpha={alpha} keeps only {weight:.8f} of its "
@@ -77,19 +70,33 @@ def coherent_state(alpha: float, n_max: int) -> np.ndarray:
     return amps / np.sqrt(weight)
 
 
+def _truncated_coherent(alpha: float, n_max: int) -> tuple[np.ndarray, float]:
+    """Amplitudes ``c_0 .. c_n_max`` of :func:`coherent_state` before
+    renormalization, and the weight ``sum c_n^2`` they keep, for a valid
+    ``alpha`` and ``n_max``."""
+    n = np.arange(n_max + 1)
+    if alpha == 0.0:
+        amps = (n == 0).astype(np.float64)
+    else:
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+        amps = np.exp(n * math.log(alpha) - 0.5 * alpha * alpha - 0.5 * log_fact)
+    return amps, float(np.sum(amps * amps))
+
+
 @dataclass(frozen=True)
 class TcmConfig:
     """Run parameters: mean photon number, cutoff, time grid.
 
     ``t_grid`` holds effective times ``gt``; the coupling ``g`` sets only the
     unit of time, so it is not a parameter. ``nbar`` must be finite and
-    ``>= 0``, and the cutoff must satisfy ``n_max >= nbar + 6 sqrt(nbar)``.
-    That rule is necessary, not sufficient: at small ``nbar`` an accepted
-    cutoff can still fail the coherent-weight check of :func:`coherent_state`
-    (``nbar = 1, n_max = 7``; ``nbar = 4, n_max = 16``), and the Fock-level
-    leak check of :func:`evolve` is stricter than the weight check (at
-    ``nbar = 100, n_max = 151`` the weight passes, the leak on the default
-    grid fails), so :func:`run_trace` may raise :class:`TruncationError`.
+    ``>= 0``, and the cutoff must satisfy ``n_max >= nbar + 6 sqrt(nbar)``
+    and keep at least ``1 - TRUNCATION_TOL`` of the initial coherent state's
+    weight, the check of :func:`coherent_state`; the second rule rejects
+    cutoffs the first accepts at small ``nbar`` (``nbar = 1, n_max = 7``;
+    ``nbar = 4, n_max = 16``). The Fock-level leak check of :func:`evolve` is
+    stricter still and depends on the time grid (at ``nbar = 100,
+    n_max = 151`` the weight passes, the leak on the default grid fails), so
+    :func:`run_trace` may raise :class:`TruncationError`.
     """
 
     nbar: float = 100.0
@@ -105,6 +112,12 @@ class TcmConfig:
             raise ValueError(
                 f"n_max={self.n_max} is inadequate for nbar={self.nbar}; "
                 f"need at least {self.nbar + 6.0 * np.sqrt(self.nbar):.1f}"
+            )
+        weight = _truncated_coherent(float(np.sqrt(self.nbar)), int(self.n_max))[1]
+        if weight < 1.0 - TRUNCATION_TOL:
+            raise ValueError(
+                f"n_max={self.n_max} keeps only {weight:.8f} of the coherent state's "
+                f"weight for nbar={self.nbar}; need at least {1.0 - TRUNCATION_TOL:.8f}"
             )
         grid = np.asarray(self.t_grid, dtype=np.float64).reshape(-1)
         if grid.size == 0 or not np.all(np.isfinite(grid)) or grid[0] < 0:

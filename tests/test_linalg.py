@@ -25,7 +25,14 @@ from entmono import (
     tangle_lower_bound,
 )
 from entmono import linalg, monotones
-from entmono.linalg import HERM_TOL, TRACE_TOL, ConvergenceError, max_entangled_vector
+from entmono.linalg import (
+    HERM_TOL,
+    PSD_TOL,
+    TRACE_TOL,
+    ConvergenceError,
+    _eigvalsh_descending,
+    max_entangled_vector,
+)
 
 
 def char_poly_roots_3x3(a):
@@ -351,7 +358,11 @@ def test_eigensolver_failure_is_a_convergence_error(monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    def not_positive(a):  # sends the constructor on to the eigensolve
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive)
     calls = [
         lambda: DensityMatrix(rho.mat, rho.dims),
         lambda: schmidt_coefficients(psi),
@@ -361,6 +372,98 @@ def test_eigensolver_failure_is_a_convergence_error(monkeypatch):
     for call in calls:
         with pytest.raises(ConvergenceError, match="did not converge"):
             call()
+
+
+class TestCholeskyPositivity:
+    """The constructor's Cholesky check of ``rho + PSD_TOL I`` gives the verdict
+    of the eigenvalue rule ``w[-1] < -PSD_TOL`` away from its rounding band."""
+
+    @staticmethod
+    def state_with_min_eigenvalue(rng, dim, lam_min):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        w = rng.uniform(0.1, 1.0, dim)
+        w[0] = 0.0
+        w *= (1.0 - lam_min) / w.sum()
+        w[0] = lam_min
+        mat = (q * w) @ q.conj().T
+        return (mat + mat.conj().T) / 2.0
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(2, 8), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-1, 1e-3]), st.sampled_from([-1.0, 1.0]))
+    def test_verdict_of_the_eigenvalue_rule(self, d_a, d_b, seed, delta, sign):
+        rng = np.random.default_rng(seed)
+        mat = self.state_with_min_eigenvalue(rng, d_a * d_b, -PSD_TOL * (1.0 + sign * delta))
+        lowest = _eigvalsh_descending(mat)[-1]
+        if lowest < -PSD_TOL:
+            with pytest.raises(ValueError, match=f"eigenvalue {lowest:.3e} below -PSD_TOL"):
+                DensityMatrix(mat, (d_a, d_b))
+        else:
+            DensityMatrix(mat, (d_a, d_b))
+        assert (lowest < -PSD_TOL) == (sign > 0)  # both sides of the rule are exercised
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_low_rank_and_skewed_states_pass(self, rank):
+        rng = np.random.default_rng(70 + rank)
+        for d_a, d_b in ((2, 2), (3, 5), (8, 8)):
+            mat = random_density(rng, d_a, d_b, rank=rank).mat.copy()
+            DensityMatrix(mat, (d_a, d_b))
+            mat[1, 0] += 0.4j * HERM_TOL  # skew read by the factorisation
+            mat[0, 1] -= 0.5 * HERM_TOL  # skew it does not read
+            rho = DensityMatrix(mat, (d_a, d_b))
+            assert np.array_equal(rho.mat, mat)
+
+
+class TestOneEigensolvePerState:
+    """Counts ``np.linalg.eigvalsh`` calls: none to build a valid state, one
+    for all its state monotones together."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    def test_no_eigensolve_to_build_a_valid_state(self, solves):
+        rng = np.random.default_rng(80)
+        for rank in (1, 2, None):
+            rho = random_density(rng, 3, 4, rank=rank)
+            DensityMatrix(rho.mat, rho.dims)
+        assert solves == []
+
+    def test_one_eigensolve_for_every_state_monotone(self, solves):
+        rng = np.random.default_rng(81)
+        built = [random_pure(rng, 2, 3).to_density(), isotropic_state(3, 0.7),
+                 random_density(rng, 3, 3), random_density(rng, 2, 4, rank=2)]
+        assert solves == []
+        for rho in built:
+            del solves[:]
+            negativity(rho), concurrence_lower_bound(rho), tangle_lower_bound(rho)
+            pt_spectrum(rho)
+            assert solves == [rho.mat.shape]
+
+    def test_raw_matrix_path_is_not_cached(self, solves):
+        pt = partial_transpose(isotropic_state(3, 0.7))
+        monotone_report(pt, 2.0), hermitian_eigenvalues(pt)
+        assert len(solves) == 2
+
+    def test_kept_spectrum_is_read_only_and_bitwise_the_eigensolve(self):
+        rng = np.random.default_rng(82)
+        for rho in (random_density(rng, 3, 4), random_pure(rng, 2, 5).to_density(),
+                    isotropic_state(4, 0.6)):
+            w = pt_spectrum(rho)
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+            assert pt_spectrum(rho) is w
+            expect = _eigvalsh_descending(partial_transpose(rho))
+            assert w.dtype == expect.dtype and np.array_equal(w, expect)
 
 
 class TestValidatedOnce:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,17 @@ class TestConfig:
     def test_rejects_small_cutoff(self):
         with pytest.raises(ValueError, match="inadequate"):
             TcmConfig(nbar=100.0, n_max=120)
+
+    @pytest.mark.parametrize("nbar, n_max", [(1.0, 7), (4.0, 16)])
+    def test_rejects_cutoff_that_truncates_the_coherent_state(self, nbar, n_max):
+        # n_max >= nbar + 6 sqrt(nbar) holds; the coherent weight rule does not
+        assert n_max >= nbar + 6.0 * np.sqrt(nbar)
+        with pytest.raises(TruncationError):
+            coherent_state(np.sqrt(nbar), n_max)
+        weight = sum(np.exp(-nbar) * nbar**n / math.factorial(n) for n in range(n_max + 1))
+        with pytest.raises(ValueError, match=f"keeps only {weight:.8f} of the coherent state's weight"):
+            TcmConfig(nbar=nbar, n_max=n_max)
+        TcmConfig(nbar=nbar, n_max=n_max + 4)
 
     def test_rejects_non_increasing_grid(self):
         with pytest.raises(ValueError, match="increasing"):
