@@ -6,10 +6,14 @@ spectrum,
     neg_pnorm(A, p) = ( sum_{lambda < 0} |lambda|^p )^(1/p),    p >= 1,
 
 which satisfies the triangle inequality and is convex on Hermitian matrices.
-Applied to the partial transpose of a density matrix it yields entanglement
-monotones: ``p = 1`` is the negativity, and twice the ``p = 2`` value is a
-lower bound on the I-concurrence (its square bounds the I-tangle), agreeing
-with the pure-state concurrence exactly on pure inputs. Every monotone
+Applied to the partial transpose of a density matrix, ``p = 1`` is the
+negativity, which does not increase under local channels (Vidal and Werner,
+PRA 65, 032314 (2002)). For ``p > 1`` a local channel can raise the value: on
+2 x 4, a channel on the second party maps ``(|Phi01><Phi01| + |Phi23><Phi23|) / 2``
+to ``|Phi01><Phi01|`` and raises it from ``2^(1/p) / 4`` to ``1/2``. Twice the
+``p = 2`` value is still a lower bound on the I-concurrence (its square bounds
+the I-tangle), agreeing with the pure-state concurrence exactly on pure
+inputs. Every monotone
 evaluates a spectrum with :func:`_spectrum_report`; the state monotones read
 theirs from :func:`~entmono.linalg.pt_spectrum`.
 """

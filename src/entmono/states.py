@@ -14,6 +14,7 @@ evaluated at any ``d`` without building the ``d^2 x d^2`` matrix.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -83,17 +84,18 @@ def isotropic_pt_spectrum(d: int, fidelity: float) -> list[tuple[float, int]]:
 def isotropic_concurrence_bound(d: int, fidelity: float) -> float:
     """Closed form of the concurrence lower bound on isotropic states.
 
-    Zero for ``lam <= 1/(d+1)`` (fidelity at or below the separability
-    threshold ``1/d``), otherwise
-    ``(2/d) ((lam-1)/d + lam) sqrt(d(d-1)/2)``. Both branches vanish at the
-    threshold, so the function is continuous. This bound coincides with the
-    exact I-concurrence of isotropic states.
+    Zero for ``F <= 1/d`` (the separability threshold), otherwise
+    ``(d F - 1) sqrt(2 / (d (d - 1)))``, which is continuous at the threshold
+    and coincides with the exact I-concurrence of isotropic states. ``d F - 1``
+    is formed exactly, so the result keeps full relative precision just above
+    the threshold. A fidelity whose rounded product ``d F`` is 1, such as the
+    float nearest ``1/d``, counts as at the threshold.
     """
-    lam = mixing_parameter(d, fidelity)
-    d = int(d)
-    if lam <= 1.0 / (d + 1.0):
+    d = _check_d(d)
+    f = _check_fidelity(fidelity)
+    if d * f <= 1.0:
         return 0.0
-    return (2.0 / d) * ((lam - 1.0) / d + lam) * math.sqrt(d * (d - 1) / 2.0)
+    return float(Fraction(f) * d - 1) * math.sqrt(2.0 / (d * (d - 1)))
 
 
 def isotropic_tangle_bound(d: int, fidelity: float) -> float:

@@ -6,11 +6,12 @@ approximations, equal couplings)
 
     H = g * sum_k (a sigma_k^+ + a^dagger sigma_k^-),    k = 1, 2.
 
-The total excitation number ``a^dagger a + sum_k sigma_k^+ sigma_k^-``
-commutes with H, so the Hilbert space splits into ``n_max + 3`` blocks of
-dimension at most four, diagonalized together in one batched eigensolve;
-propagation is then exact (no integrator error) at O(n_max) cost per time
-point.
+Started from ``|e, e> (x) |alpha>``, the state never leaves the symmetric
+atom subspace: for each field number ``n`` it stays in the three levels
+``|ee, n>``, ``|S, n + 1>`` and ``|gg, n + 2>``, with
+``S = (|eg> + |ge>) / sqrt(2)``. Each such block is solved in closed form
+(:func:`evolve`), so propagation is exact (no integrator error) at O(n_max)
+cost per time point.
 
 Basis conventions: atom levels are indexed 0 = ground, 1 = excited, and a
 total state ``|s1, s2, n>`` lives at flat index ``(2 s1 + s2) (n_max + 1) + n``.
@@ -22,12 +23,13 @@ Tracing out one atom of the evolved pure state leaves an atom-field density
 matrix of rank at most two, the structure that makes the tangle bound a
 meaningful probe of the collapse and revival dynamics.
 
-The Fock cutoff ``n_max`` is checked against one fixed threshold,
-``TRUNCATION_TOL = 1e-6``: the truncated coherent state must keep at least
-``1 - TRUNCATION_TOL`` of its weight, and no evolved state may hold more than
-``TRUNCATION_TOL`` of its population in the top two Fock levels. It is a
-constant of this module, not of :mod:`entmono.linalg`, because it concerns
-the cavity model rather than the input states.
+The Fock cutoff ``n_max`` has one rule, on one fixed threshold
+``TRUNCATION_TOL = 1e-6``: the coherent amplitudes ``c_0 .. c_{n_max - 2}``
+that :func:`evolve` starts from must keep at least ``1 - TRUNCATION_TOL`` of
+the coherent state's weight. Block ``n`` reaches the Fock level ``n + 2``, so
+the evolution then never leaves the truncated space and is exactly unitary.
+The threshold is a constant of this module, not of :mod:`entmono.linalg`,
+because it concerns the cavity model rather than the input states.
 """
 
 from __future__ import annotations
@@ -37,14 +39,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityMatrix, DimensionMismatchError, PureState, _is_integer, zero_cutoff
+from .linalg import DensityMatrix, PureState, _is_integer, zero_cutoff
 from .monotones import tangle_lower_bound
 
 TRUNCATION_TOL = 1e-6
 
 
 class TruncationError(RuntimeError):
-    """Raised when the Fock-space cutoff is too small for the requested run."""
+    """Raised when :func:`coherent_state` is cut off too early."""
 
 
 def coherent_state(alpha: float, n_max: int) -> np.ndarray:
@@ -89,14 +91,11 @@ class TcmConfig:
 
     ``t_grid`` holds effective times ``gt``; the coupling ``g`` sets only the
     unit of time, so it is not a parameter. ``nbar`` must be finite and
-    ``>= 0``, and the cutoff must satisfy ``n_max >= nbar + 6 sqrt(nbar)``
-    and keep at least ``1 - TRUNCATION_TOL`` of the initial coherent state's
-    weight, the check of :func:`coherent_state`; the second rule rejects
-    cutoffs the first accepts at small ``nbar`` (``nbar = 1, n_max = 7``;
-    ``nbar = 4, n_max = 16``). The Fock-level leak check of :func:`evolve` is
-    stricter still and depends on the time grid (at ``nbar = 100,
-    n_max = 151`` the weight passes, the leak on the default grid fails), so
-    :func:`run_trace` may raise :class:`TruncationError`.
+    ``>= 0``. The cutoff has one rule: :func:`evolve` starts from the
+    coherent amplitudes ``c_0 .. c_{n_max - 2}``, and they must keep at least
+    ``1 - TRUNCATION_TOL`` of the coherent state's weight. So ``n_max >= 2``
+    always (``|e, e, 0>`` reaches ``|g, g, 2>``), and every accepted
+    configuration runs: :func:`evolve` and :func:`run_trace` raise nothing.
     """
 
     nbar: float = 100.0
@@ -108,16 +107,15 @@ class TcmConfig:
             raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
         if not _is_integer(self.n_max) or self.n_max < 0:
             raise ValueError(f"n_max must be a non-negative integer, got {self.n_max!r}")
-        if self.n_max < self.nbar + 6.0 * np.sqrt(self.nbar):
-            raise ValueError(
-                f"n_max={self.n_max} is inadequate for nbar={self.nbar}; "
-                f"need at least {self.nbar + 6.0 * np.sqrt(self.nbar):.1f}"
-            )
-        weight = _truncated_coherent(float(np.sqrt(self.nbar)), int(self.n_max))[1]
+        if self.n_max < 2:
+            raise ValueError(f"n_max must be at least 2, since |e,e,0> reaches |g,g,2>; "
+                             f"got {self.n_max}")
+        weight = _truncated_coherent(float(np.sqrt(self.nbar)), int(self.n_max) - 2)[1]
         if weight < 1.0 - TRUNCATION_TOL:
             raise ValueError(
-                f"n_max={self.n_max} keeps only {weight:.8f} of the coherent state's "
-                f"weight for nbar={self.nbar}; need at least {1.0 - TRUNCATION_TOL:.8f}"
+                f"n_max={self.n_max} is inadequate for nbar={self.nbar}: the cut at "
+                f"n_max - 2 keeps only {weight:.8f} of the coherent state's weight; "
+                f"need at least {1.0 - TRUNCATION_TOL:.8f}"
             )
         grid = np.asarray(self.t_grid, dtype=np.float64).reshape(-1)
         if grid.size == 0 or not np.all(np.isfinite(grid)) or grid[0] < 0:
@@ -129,70 +127,33 @@ class TcmConfig:
         object.__setattr__(self, "t_grid", grid)
 
 
-def propagate(initial, n_max: int, t_grid) -> np.ndarray:
-    """Evolve an arbitrary state of the 2 x 2 x (n_max + 1) space.
-
-    ``t_grid`` is in effective-time units ``gt``. Returns the stack of
-    states, shape ``(len(t_grid), 4 (n_max + 1))``. Exact: the ``n_max + 3``
-    conserved-excitation blocks go through one batched eigendecomposition.
-    Block ``e`` holds ``|s1, s2, n>`` for the atom levels (1,1), (1,0),
-    (0,1), (0,0) with ``n = e - s1 - s2``, padded to 4 x 4 with decoupled,
-    zero-amplitude entries where ``n`` falls outside ``[0, n_max]``.
-    """
-    fock = n_max + 1
-    initial = np.asarray(initial, dtype=np.complex128).reshape(-1)
-    if initial.size != 4 * fock:
-        raise DimensionMismatchError(
-            f"state has {initial.size} amplitudes, expected {4 * fock}"
-        )
-    t_grid = np.asarray(t_grid, dtype=np.float64).reshape(-1)
-    n = np.arange(n_max + 3)[:, None] - np.array([2, 1, 1, 0])
-    valid = (n >= 0) & (n <= n_max)
-    flat = np.array([3, 2, 1, 0]) * fock + n  # row 2 s1 + s2 of the flat index
-    h = np.zeros((n_max + 3, 4, 4))
-    # a^dagger sigma_k^- lowers one atom and raises n - 1 to n: amplitude sqrt(n)
-    h[:, 1, 0] = h[:, 2, 0] = np.sqrt(n[:, 1].clip(0)) * valid[:, 0] * valid[:, 1]
-    h[:, 3, 1] = h[:, 3, 2] = np.sqrt(n[:, 3].clip(0)) * valid[:, 1] * valid[:, 3]
-    w, vec = np.linalg.eigh(h, UPLO="L")
-    v0 = np.where(valid, initial[flat.clip(0, 4 * fock - 1)], 0.0)
-    coeff = vec * np.einsum("bik,bi->bk", vec, v0)[:, None, :]
-    # perm[j]: position of flat index j among the raveled (block, level) entries
-    perm = np.empty(4 * fock, dtype=np.intp)
-    perm[flat[valid]] = np.flatnonzero(valid)
-    out = np.empty((t_grid.size, 4 * fock), dtype=np.complex128)
-    for k, t in enumerate(t_grid):  # per time point, so peak memory stays at ``out``
-        blocks = np.einsum("bik,bk->bi", coeff, np.exp(-1j * t * w))
-        np.take(blocks.reshape(-1), perm, out=out[k])
-    return out
-
-
 def evolve(cfg: TcmConfig) -> np.ndarray:
     """Evolve ``|e, e> (x) |alpha>`` over the effective times ``cfg.t_grid``.
 
-    Returns the stack of total pure states. Raises
-    :class:`TruncationError` if any output time leaks more than
-    ``TRUNCATION_TOL`` population into the top two Fock levels.
+    Returns the stack of total pure states, shape
+    ``(len(t_grid), 4 (n_max + 1))``, in closed form. The field number ``n``
+    of ``|ee, n>`` couples to ``|S, n + 1>`` (``S`` the symmetric one-excitation
+    atom state) and ``|gg, n + 2>`` through ``a = sqrt(2 (n + 1))`` and
+    ``b = sqrt(2 (n + 2))``; with ``Omega^2 = a^2 + b^2`` and
+    ``s = sin^2(Omega t / 2)`` the amplitudes are ``c_n (1 - 2 a^2 s / Omega^2)``,
+    ``-i c_n a sin(Omega t) / Omega`` (split by ``1/sqrt(2)`` onto ``|eg>``
+    and ``|ge>``) and ``-2 c_n a b s / Omega^2``. The coherent amplitudes
+    ``c_n`` stop at ``n_max - 2``, so no amplitude leaves the truncated space
+    and every row has unit norm to rounding.
     """
     fock = cfg.n_max + 1
-    psi0 = np.zeros(4 * fock, dtype=np.complex128)
-    psi0[3 * fock:] = coherent_state(np.sqrt(cfg.nbar), cfg.n_max)
-    states = propagate(psi0, cfg.n_max, cfg.t_grid)
-    top = states.reshape(-1, 4, fock)[:, :, fock - 2:]
-    leak = float(np.max(np.sum(np.abs(top) ** 2, axis=(1, 2))))
-    if leak > TRUNCATION_TOL:
-        raise TruncationError(
-            f"population {leak:.3e} in the top two Fock levels; raise n_max"
-        )
-    return states
-
-
-def excitation_expectation(state, n_max: int) -> float:
-    """Expectation of the conserved total excitation number."""
-    fock = n_max + 1
-    v = np.asarray(state, dtype=np.complex128).reshape(4, fock)
-    weights = np.abs(v) ** 2
-    atoms = np.array([0.0, 1.0, 1.0, 2.0])  # row 2 s1 + s2: gg, ge, eg, ee
-    return float(weights.sum(axis=1) @ atoms + weights.sum(axis=0) @ np.arange(fock))
+    c = coherent_state(np.sqrt(cfg.nbar), cfg.n_max - 2)
+    a2 = 2.0 * np.arange(1.0, fock - 1)
+    b2 = a2 + 2.0
+    omega = np.sqrt(a2 + b2)
+    phase = np.outer(cfg.t_grid, omega)
+    half = np.sin(0.5 * phase) ** 2 / (a2 + b2)  # s / Omega^2, free of cos - 1 cancellation
+    out = np.zeros((cfg.t_grid.size, 4, fock), dtype=np.complex128)
+    out[:, 3, :-2] = c * (1.0 - 2.0 * a2 * half)
+    out[:, 2, 1:-1] = -1j * c * np.sqrt(a2 / 2.0) * np.sin(phase) / omega
+    out[:, 1, 1:-1] = out[:, 2, 1:-1]
+    out[:, 0, 2:] = -2.0 * c * np.sqrt(a2 * b2) * half
+    return out.reshape(cfg.t_grid.size, -1)
 
 
 def reduce_atom_field(total, n_max: int) -> DensityMatrix:
@@ -233,8 +194,10 @@ def run_trace(cfg: TcmConfig) -> TcmTrace:
     which share the atom-field state's nonzero spectrum. Each atom-field state
     is the trusted Gram matrix ``f^T f^*`` of its branch factor ``f``, as in
     :func:`reduce_atom_field`, without that function's check of the total
-    state: :func:`evolve` built it. Partial transposes go one point at a
-    time, as stacking them needs O(nt n_max^2) memory.
+    state: :func:`evolve` built it, with unit norm, from a configuration
+    whose one cutoff rule guarantees that, so nothing here can raise a
+    truncation error. Partial transposes go one point at a time, as stacking
+    them needs O(nt n_max^2) memory.
     """
     states = evolve(cfg)
     branches = states.reshape(states.shape[0], 2, -1)

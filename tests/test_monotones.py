@@ -228,3 +228,47 @@ class TestPureStateMeasures:
                 abs(concurrence_lower_bound(psi.to_density()) - pure_concurrence(psi))
                 <= 1e-8
             )
+
+
+class TestLocalChannels:
+    """Only ``p = 1`` of the family is known not to increase under local
+    channels; for ``p > 1`` a channel on one side can raise the value."""
+
+    @staticmethod
+    def _phi(j, k):
+        # (|0, j> + |1, k>) / sqrt(2) on 2 x 4
+        v = np.zeros(8)
+        v[j] = v[4 + k] = 1.0 / np.sqrt(2.0)
+        return np.outer(v, v)
+
+    def _counterexample(self):
+        rho = DensityMatrix(0.5 * self._phi(0, 1) + 0.5 * self._phi(2, 3), (2, 4))
+        k1 = np.zeros((4, 4))
+        k1[0, 0] = k1[1, 1] = 1.0
+        k2 = np.zeros((4, 4))
+        k2[0, 2] = k2[1, 3] = 1.0
+        kraus = [np.kron(np.eye(2), k) for k in (k1, k2)]
+        assert np.allclose(sum(k.T @ k for k in kraus), np.eye(8))  # trace preserving
+        out = DensityMatrix(sum(k @ rho.mat @ k.T for k in kraus), (2, 4))
+        return rho, out
+
+    def test_channel_maps_the_mixture_to_a_bell_state(self):
+        _, out = self._counterexample()
+        assert np.allclose(out.mat, self._phi(0, 1))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_pnorm_rises_above_p_one(self, p):
+        rho, out = self._counterexample()
+        before = neg_pnorm(partial_transpose(rho), p)
+        after = neg_pnorm(partial_transpose(out), p)
+        assert abs(before - 2.0 ** (1.0 / p) / 4.0) < 1e-14
+        assert abs(after - 0.5) < 1e-14
+        if p == 1.0:
+            assert abs(after - before) < 1e-14
+        else:
+            assert after > before + 0.1
+
+    def test_concurrence_bound_rises(self):
+        rho, out = self._counterexample()
+        assert abs(concurrence_lower_bound(rho) - np.sqrt(0.5)) < 1e-14
+        assert abs(concurrence_lower_bound(out) - 1.0) < 1e-14

@@ -16,7 +16,14 @@ from entmono import (
     run_trace,
     tangle_lower_bound,
 )
-from entmono.tcm import excitation_expectation, propagate
+
+
+def excitation_expectation(state, n_max: int) -> float:
+    """Expectation of the conserved total excitation number."""
+    fock = n_max + 1
+    weights = np.abs(np.asarray(state).reshape(4, fock)) ** 2
+    atoms = np.array([0.0, 1.0, 1.0, 2.0])  # row 2 s1 + s2: gg, ge, eg, ee
+    return float(weights.sum(axis=1) @ atoms + weights.sum(axis=0) @ np.arange(fock))
 
 
 class TestCoherentState:
@@ -83,17 +90,30 @@ class TestConfig:
     def test_rejects_small_cutoff(self):
         with pytest.raises(ValueError, match="inadequate"):
             TcmConfig(nbar=100.0, n_max=120)
+        for n_max in (0, 1):
+            with pytest.raises(ValueError, match="n_max must be at least 2"):
+                TcmConfig(nbar=0.0, n_max=n_max)
 
     @pytest.mark.parametrize("nbar, n_max", [(1.0, 7), (4.0, 16)])
     def test_rejects_cutoff_that_truncates_the_coherent_state(self, nbar, n_max):
-        # n_max >= nbar + 6 sqrt(nbar) holds; the coherent weight rule does not
-        assert n_max >= nbar + 6.0 * np.sqrt(nbar)
+        # evolve starts from c_0 .. c_{n_max - 2}; their weight decides
         with pytest.raises(TruncationError):
-            coherent_state(np.sqrt(nbar), n_max)
-        weight = sum(np.exp(-nbar) * nbar**n / math.factorial(n) for n in range(n_max + 1))
+            coherent_state(np.sqrt(nbar), n_max - 2)
+        weight = sum(np.exp(-nbar) * nbar**n / math.factorial(n) for n in range(n_max - 1))
         with pytest.raises(ValueError, match=f"keeps only {weight:.8f} of the coherent state's weight"):
             TcmConfig(nbar=nbar, n_max=n_max)
         TcmConfig(nbar=nbar, n_max=n_max + 4)
+
+    @pytest.mark.parametrize("nbar, smallest", [(0.0, 2), (1.0, 11), (4.0, 19), (25.0, 54),
+                                                (100.0, 153)])
+    def test_every_accepted_cutoff_runs(self, nbar, smallest):
+        with pytest.raises(ValueError, match="n_max"):
+            TcmConfig(nbar=nbar, n_max=smallest - 1)
+        cfg = TcmConfig(nbar=nbar, n_max=smallest, t_grid=np.linspace(0.0, 200.0, 101))
+        states = evolve(cfg)
+        assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() < 1e-12
+        for row in states:
+            assert reduce_atom_field(row, smallest).dims == (2, smallest + 1)
 
     def test_rejects_non_increasing_grid(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -118,46 +138,34 @@ class TestEvolution:
         cfg = TcmConfig(nbar=4.0, n_max=30, t_grid=np.array([0.0, 1.0]))
         states = evolve(cfg)
         psi0 = np.zeros(4 * 31, dtype=complex)
-        psi0[3 * 31:] = coherent_state(2.0, 30)
+        psi0[3 * 31:3 * 31 + 29] = coherent_state(2.0, 28)
         assert np.abs(states[0] - psi0).max() < 1e-12
 
-    def test_single_excitation_vacuum_rabi(self):
-        # Initial |e, g, 0>: population of |e, g, 0> follows the closed form
-        # ((1 + cos(sqrt(2) t)) / 2)^2 obtained by diagonalizing the
-        # three-state block {|e,g,0>, |g,e,0>, |g,g,1>} by hand.
-        n_max = 5
-        fock = n_max + 1
-        psi0 = np.zeros(4 * fock, dtype=complex)
-        psi0[2 * fock] = 1.0  # (s1, s2, n) = (1, 0, 0)
-        t = np.linspace(0.0, 8.0, 33)
-        states = propagate(psi0, n_max, t)
-        population = np.abs(states[:, 2 * fock]) ** 2
-        closed = ((1.0 + np.cos(np.sqrt(2.0) * t)) / 2.0) ** 2
-        assert np.abs(population - closed).max() < 1e-12
-
-    @pytest.mark.parametrize("n_max", [0, 1, 2, 5])
-    def test_matches_dense_hamiltonian(self, n_max):
+    @pytest.mark.parametrize("nbar", [0, 1, 2, 5])
+    def test_matches_dense_hamiltonian(self, nbar):
         # Full 4 (n_max + 1)-dimensional unit-coupling Hamiltonian on the flat
-        # index (2 s1 + s2) (n_max + 1) + n, built from its operators alone.
-        fock = n_max + 1
-        a = np.diag(np.sqrt(np.arange(1.0, fock)), 1)
-        lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # sigma^-: |1> -> |0>
-        eye2 = np.eye(2)
-        jump = np.kron(np.kron(lower, eye2), a.T) + np.kron(np.kron(eye2, lower), a.T)
-        w, vec = np.linalg.eigh(jump + jump.T)
-        rng = np.random.default_rng(n_max)
+        # index (2 s1 + s2) (n_max + 1) + n, built from its operators alone,
+        # at the smallest accepted cutoff and a larger one.
+        smallest = {0: 2, 1: 11, 2: 14, 5: 21}[nbar]
         t = np.array([0.0, 0.3, 1.7, 12.5, 50.0])
-        for _ in range(3):
-            psi0 = rng.normal(size=4 * fock) + 1j * rng.normal(size=4 * fock)
-            psi0 /= np.linalg.norm(psi0)
+        for n_max in (smallest, smallest + 9):
+            fock = n_max + 1
+            a = np.diag(np.sqrt(np.arange(1.0, fock)), 1)
+            lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # sigma^-: |1> -> |0>
+            eye2 = np.eye(2)
+            jump = np.kron(np.kron(lower, eye2), a.T) + np.kron(np.kron(eye2, lower), a.T)
+            w, vec = np.linalg.eigh(jump + jump.T)
+            psi0 = np.zeros(4 * fock, dtype=complex)
+            psi0[3 * fock:4 * fock - 2] = coherent_state(np.sqrt(nbar), n_max - 2)
             dense = (vec @ (np.exp(-1j * np.outer(w, t)) * (vec.T @ psi0)[:, None])).T
-            assert np.abs(propagate(psi0, n_max, t) - dense).max() < 1e-12
+            states = evolve(TcmConfig(nbar=nbar, n_max=n_max, t_grid=t))
+            assert np.abs(states - dense).max() < 1e-12
 
     def test_norm_conservation(self):
         cfg = TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 20.0, 40))
         states = evolve(cfg)
         norms = np.linalg.norm(states, axis=1)
-        assert np.abs(norms - 1.0).max() < 1e-8
+        assert np.abs(norms - 1.0).max() < 1e-12
 
     def test_excitation_conservation(self):
         cfg = TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 20.0, 40))
@@ -168,11 +176,10 @@ class TestEvolution:
             assert abs(excitation_expectation(row, 30) - expected) < 1e-8
 
     def test_leakage_raises(self):
-        # cutoff legal for the coherent state itself (tail below 1e-6), yet
-        # the top two Fock levels carry more than 1e-6 population
-        cfg = TcmConfig(nbar=1.0, n_max=9, t_grid=np.linspace(0.0, 40.0, 60))
-        with pytest.raises(TruncationError, match="Fock"):
-            evolve(cfg)
+        # the weight of c_0 .. c_7 falls short of 1 - TRUNCATION_TOL, so the
+        # configuration is refused before anything runs
+        with pytest.raises(ValueError, match="n_max=9 is inadequate"):
+            TcmConfig(nbar=1.0, n_max=9, t_grid=np.linspace(0.0, 40.0, 60))
 
 
 class TestReduction:
@@ -231,13 +238,6 @@ class TestRunTrace:
         trace = run_trace(cfg)
         assert np.all(trace.n2pt == 0.0)
         assert np.all(trace.rank_estimate == 1)
-        # |g, g, 0> is annihilated by H, so it stays a product state at all times.
-        psi0 = np.zeros(4 * 31, dtype=complex)
-        psi0[0] = 1.0
-        states = propagate(psi0, 30, np.linspace(0.0, 10.0, 5))
-        assert np.abs(states - psi0).max() < 1e-12
-        for row in states:
-            assert tangle_lower_bound(reduce_atom_field(row, 30)) == 0.0
 
     def test_bound_below_roof_oracle(self):
         cfg = TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.5, 12.0, 3))
