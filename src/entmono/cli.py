@@ -173,10 +173,9 @@ def _cmd_roof(args) -> str:
         seed=args.seed,
     )
     result = minimize_roof(rho, cfg)
-    residual = float(np.abs(result.ensemble.mixture() - rho.mat).max())
     return (
         "value,reconstruction_residual\n"
-        f"{_fmt(result.value)},{_fmt(residual)}\n"
+        f"{_fmt(result.value)},{_fmt(result.residual)}\n"
     )
 
 

@@ -22,10 +22,19 @@ has square-root kinks wherever a member becomes a product state, which is
 precisely where optimal ensembles like to sit; those are handled by
 graduated smoothing, replacing ``sqrt(t)`` with ``sqrt(t + eps^2) - eps``
 and shrinking ``eps`` toward zero between descent sweeps.
+
+The restarts of one search descend together, as one stacked array: each
+round evaluates a trial isometry for every restart still running in one
+call, while every decision (Armijo test, halving, step length, stop) is
+taken per restart. Each restart therefore follows, bit for bit, the
+trajectory it would follow alone. Memory is bounded by running the restarts
+in groups whose stacked members stay within ``_GROUP_ELEMENTS`` entries; a
+state too large for two restarts runs them one at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +50,12 @@ OBJECTIVES = ("concurrence", "tangle")
 # Smoothing schedule for the concurrence objective; the tangle is a smooth
 # polynomial and needs none.
 _EPS_STAGES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9)
+
+# Restarts run in groups whose stacked members ``u @ s`` hold at most this
+# many complex entries (1 MiB), or one restart when a single one holds more.
+# The descent's temporaries are a few arrays of this size, and batching gains
+# only where per-call overhead dominates, long before this size.
+_GROUP_ELEMENTS = 1 << 16
 
 
 class NotIsometryError(ValueError):
@@ -140,13 +155,17 @@ class RoofResult:
     """Best value found, the ensemble achieving it, and per-restart values.
 
     ``descents[i][k]`` records stage ``k`` of restart ``i``: one stage per
-    smoothing level for the concurrence, one for the tangle.
+    smoothing level for the concurrence, one for the tangle. Restarts run
+    batched, but each value and record is bitwise what the restart gives
+    alone. ``residual`` is the reconstruction residual
+    ``max |mixture - rho|`` of the returned ensemble.
     """
 
     value: float
     ensemble: Ensemble
     restart_values: np.ndarray
     descents: tuple[tuple[Descent, ...], ...]
+    residual: float
 
 
 def _sqrt_members(rho: DensityMatrix) -> np.ndarray:
@@ -224,44 +243,56 @@ def average_objective(ensemble: Ensemble, objective: str = "concurrence") -> flo
     )
 
 
-def _value_and_grad(u, s, d_a, d_b, objective, eps):
-    """Smoothed ensemble average and its Wirtinger gradient d/d(conj u).
+def _value_and_grad(u, s, sh, d_a, d_b, objective, eps):
+    """Smoothed ensemble averages and their Wirtinger gradients d/d(conj u).
 
-    Per member, with ``G = M M^H`` of the unnormalized amplitude matrix
-    ``M``, the weighted concurrence is ``sqrt(2 ((tr G)^2 - tr G^2))`` and
-    the weighted tangle is that quantity squared over the weight; both need
-    only traces, no per-member eigensolve.
+    ``u`` is a stack of ``B`` isometries, ``(B, m, r)``, and ``sh`` is
+    ``s.conj().T``. Returns the ``B`` values as floats and a function that
+    computes the gradients, a ``(B, m, r)`` array, so that a rejected trial
+    costs only its values. Per member, with ``G = M M^H`` of the
+    unnormalized amplitude matrix ``M``, the weighted concurrence is
+    ``sqrt(2 ((tr G)^2 - tr G^2))`` and the weighted tangle is that quantity
+    squared over the weight; both need only traces, no per-member
+    eigensolve. Each row is computed by the same operations as a stack of
+    one, so its result does not depend on the rest of the stack.
     """
-    psis = u @ s
-    m = psis.shape[0]
-    mats = psis.reshape(m, d_a, d_b)
+    b, m = u.shape[:2]
+    psis = (u @ s).reshape(b * m, -1)
+    mats = psis.reshape(b * m, d_a, d_b)
     g = mats @ mats.conj().transpose(0, 2, 1)
     p = np.einsum("ikk->i", g).real
     fro2 = np.einsum("ijk,ikj->i", g, g).real
     t = 2.0 * np.maximum(p * p - fro2, 0.0)
-    gm = (g @ mats).reshape(m, -1)
     if objective == "concurrence":
         root = np.sqrt(t + eps * eps)
-        value = float(np.sum(root) - m * eps)
-        grad_psi = (2.0 * p[:, None] * psis - 2.0 * gm) / root[:, None]
+        values = root.reshape(b, m).sum(axis=1) - m * eps
     else:
         pw = np.maximum(p, 1e-300)
-        value = float(np.sum(t / pw))
-        grad_psi = (
-            (4.0 * p[:, None] * psis - 4.0 * gm) * pw[:, None] - t[:, None] * psis
-        ) / (pw * pw)[:, None]
-    return value, grad_psi @ s.conj().T
+        values = (t / pw).reshape(b, m).sum(axis=1)
+
+    def grad():
+        gm = (g @ mats).reshape(b * m, -1)
+        if objective == "concurrence":
+            grad_psi = (2.0 * p[:, None] * psis - 2.0 * gm) / root[:, None]
+        else:
+            grad_psi = (
+                (4.0 * p[:, None] * psis - 4.0 * gm) * pw[:, None] - t[:, None] * psis
+            ) / (pw * pw)[:, None]
+        return grad_psi.reshape(b, m, -1) @ sh
+
+    return values.tolist(), grad
 
 
 def _tangent(u, z):
     """Projection of ``z`` onto the tangent space of the isometries at ``u``."""
-    uz = u.conj().T @ z
-    return z - u @ (uz + uz.conj().T) * 0.5
+    uz = u.conj().transpose(0, 2, 1) @ z
+    return z - u @ (uz + uz.conj().transpose(0, 2, 1)) * 0.5
 
 
-def _descend(u, s, d_a, d_b, objective, eps, max_iters):
-    """Riemannian gradient descent with Armijo backtracking; accepts only
-    strict improvements, so the smoothed value is non-increasing.
+def _descend(u, s, sh, d_a, d_b, objective, eps, max_iters):
+    """Riemannian gradient descent with Armijo backtracking on a stack of
+    isometries; accepts only strict improvements, so each smoothed value is
+    non-increasing.
 
     Each backtracking starts from a Barzilai-Borwein step (Barzilai and
     Borwein, IMA J. Numer. Anal. 8, 141 (1988); on the Stiefel manifold, Wen
@@ -271,47 +302,94 @@ def _descend(u, s, d_a, d_b, objective, eps, max_iters):
     alternates between ``<step,step>/|<step,dxi>|`` and
     ``|<step,dxi>|/<dxi,dxi>`` (``<a,b> = Re vdot(a, b)``), clipped to
     [1e-10, 1e10]. The first trial is 1, and so is any trial with
-    ``<step,dxi> = 0`` or a ratio that is not finite. Returns the value, the
-    isometry and the :class:`Descent` record.
+    ``<step,dxi> = 0`` or a ratio that is not finite.
+
+    The rows of ``u`` (``(B, m, r)``, owned and overwritten) descend in
+    lockstep: each round evaluates one trial for every row still running,
+    in one call, and every decision is taken per row on scalars, so each
+    row follows the trajectory it would follow alone. Returns the values,
+    the isometries and one :class:`Descent` record per row.
     """
-    value, grad = _value_and_grad(u, s, d_a, d_b, objective, eps)
-    xi = _tangent(u, grad)
-    t_step = 1.0
-    iters = 0
-    while True:
-        ng2 = float(np.vdot(xi, xi).real)
-        if ng2 < STEP_TOL * STEP_TOL:
+    n = len(u)
+    values, grad = _value_and_grad(u, s, sh, d_a, d_b, objective, eps)
+    xi = _tangent(u, grad())
+    t_step = [1.0] * n
+    iters = [0] * n
+    ng2 = [0.0] * n
+    records = [None] * n
+
+    def runs(i):
+        """Start iteration ``iters[i] + 1`` of row ``i``, or record its stop."""
+        x = xi[i]
+        ng2[i] = g2 = float(np.vdot(x, x).real)
+        if g2 < STEP_TOL * STEP_TOL:
             stop = "converged"
-            break
-        if iters == max_iters:
+        elif iters[i] == max_iters:
             stop = "max_iters"
-            break
-        while t_step * np.sqrt(ng2) > 1e-14:
-            cand = _polar(u - t_step * xi)
-            c_val, c_grad = _value_and_grad(cand, s, d_a, d_b, objective, eps)
-            if c_val <= value - 1e-4 * t_step * ng2:
-                break
-            t_step *= 0.5
+        elif t_step[i] * math.sqrt(g2) > 1e-14:
+            return True
         else:
             stop = "no_step"
-            break
-        iters += 1
-        c_xi = _tangent(cand, c_grad)
-        step, dxi = cand - u, c_xi - _tangent(cand, xi)
-        sy = abs(np.vdot(step, dxi).real)
-        if sy:
-            bb = np.vdot(step, step).real / sy if iters % 2 else sy / np.vdot(dxi, dxi).real
-        t_step = min(max(bb, 1e-10), 1e10) if sy and np.isfinite(bb) else 1.0
-        u, value, xi = cand, c_val, c_xi
-    return value, u, Descent(iters, stop, float(np.sqrt(ng2)))
+        records[i] = Descent(iters[i], stop, math.sqrt(g2))
+        return False
+
+    live = [i for i in range(n) if runs(i)]
+    while live:
+        # a lone row scales by a float, cheaper than broadcasting a
+        # (1, 1, 1) array and bitwise the same
+        if len(live) == 1:
+            trial = t_step[live[0]]
+        else:
+            trial = np.array([t_step[i] for i in live])[:, None, None]
+        u_l, xi_l = (u, xi) if len(live) == n else (u[live], xi[live])
+        cand = _polar(u_l - trial * xi_l)
+        c_vals, c_grad = _value_and_grad(cand, s, sh, d_a, d_b, objective, eps)
+        acc = []
+        for j, i in enumerate(live):
+            if c_vals[j] <= values[i] - 1e-4 * t_step[i] * ng2[i]:
+                acc.append(j)
+                continue
+            t_step[i] *= 0.5
+            if not t_step[i] * math.sqrt(ng2[i]) > 1e-14:
+                records[i] = Descent(iters[i], "no_step", math.sqrt(ng2[i]))
+        if acc:
+            c_grad = c_grad()
+            if len(acc) < len(live):
+                cand, c_grad, u_l, xi_l = cand[acc], c_grad[acc], u_l[acc], xi_l[acc]
+            c_xi = _tangent(cand, c_grad)
+            step, dxi = cand - u_l, c_xi - _tangent(cand, xi_l)
+            if len(acc) == n:
+                u, xi = cand, c_xi
+            else:
+                rows = [live[j] for j in acc]
+                u[rows], xi[rows] = cand, c_xi
+            for k, j in enumerate(acc):
+                i = live[j]
+                st, dx = step[k], dxi[k]
+                iters[i] += 1
+                sy = abs(np.vdot(st, dx).real)
+                if sy:
+                    bb = np.vdot(st, st).real / sy if iters[i] % 2 else sy / np.vdot(dx, dx).real
+                t_step[i] = min(max(bb, 1e-10), 1e10) if sy and math.isfinite(bb) else 1.0
+                values[i] = c_vals[j]
+                runs(i)
+        live = [i for i in live if records[i] is None]
+    return values, u, records
 
 
 def _refine(u, s, d_a, d_b, objective, max_iters):
-    descents = []
+    """Every smoothing stage on the stack ``u`` of isometries, ``(B, m, r)``,
+    which is overwritten.
+
+    All rows finish a stage before the next starts. Returns the final values,
+    isometries and, per row, the tuple of stage records.
+    """
+    sh = s.conj().T
+    stages = []
     for eps in _EPS_STAGES if objective == "concurrence" else (0.0,):
-        value, u, record = _descend(u, s, d_a, d_b, objective, eps, max_iters)
-        descents.append(record)
-    return value, u, tuple(descents)
+        values, u, records = _descend(u, s, sh, d_a, d_b, objective, eps, max_iters)
+        stages.append(records)
+    return values, u, list(zip(*stages))
 
 
 def minimize_roof(rho: DensityMatrix, cfg: RoofConfig | None = None) -> RoofResult:
@@ -323,7 +401,11 @@ def minimize_roof(rho: DensityMatrix, cfg: RoofConfig | None = None) -> RoofResu
     :func:`average_objective`, so it is an upper bound on the convex roof by
     construction, independent of optimizer quality. Identical configurations
     produce bit-identical results: restarts draw from sub-seeds spawned from
-    ``cfg.seed`` and the reduction runs in restart order.
+    ``cfg.seed`` and the reduction runs in restart order, keeping the first
+    strict minimum. The restarts descend as one batch (or, for large states,
+    in groups bounded by ``_GROUP_ELEMENTS``), and each is bitwise what it
+    would be alone, so the first ``k`` restarts do not depend on
+    ``cfg.restarts`` or on the grouping.
     """
     cfg = cfg or RoofConfig()
     d_a, d_b = rho.dims
@@ -335,21 +417,25 @@ def minimize_roof(rho: DensityMatrix, cfg: RoofConfig | None = None) -> RoofResu
     if m > 4 * r * r:
         raise ValueError(f"ensemble_size {m} exceeds the practical cap {4 * r * r}")
 
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    group = max(1, _GROUP_ELEMENTS // (m * s.shape[1]))
     best_u = None
     best_val = np.inf
-    restart_values = np.empty(cfg.restarts)
-    descents = []
-    for idx, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)):
-        rng = np.random.default_rng(child)
-        u = random_isometry(m, r, rng)
-        val, u, record = _refine(u, s, d_a, d_b, cfg.objective, cfg.max_iters)
-        restart_values[idx] = val
-        descents.append(record)
-        if val < best_val:
-            best_val, best_u = val, u
+    restart_values, descents = [], []
+    for lo in range(0, cfg.restarts, group):
+        starts = [random_isometry(m, r, np.random.default_rng(c)) for c in children[lo:lo + group]]
+        values, finals, records = _refine(np.stack(starts), s, d_a, d_b, cfg.objective,
+                                          cfg.max_iters)
+        for val, u in zip(values, finals):
+            if val < best_val:
+                best_val, best_u = val, u
+        restart_values += values
+        descents += records
 
     ensemble = _ensemble(best_u, s, rho.dims)
     value = average_objective(ensemble, cfg.objective)
+    restart_values = np.array(restart_values)
     restart_values.flags.writeable = False
+    residual = float(np.abs(ensemble.mixture() - rho.mat).max())
     return RoofResult(value=value, ensemble=ensemble, restart_values=restart_values,
-                      descents=tuple(descents))
+                      descents=tuple(descents), residual=residual)

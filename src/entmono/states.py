@@ -69,15 +69,16 @@ def isotropic_pt_spectrum(d: int, fidelity: float) -> list[tuple[float, int]]:
 
     Exactly two distinct values occur: ``(1-lam)/d^2 + lam/d`` with
     multiplicity ``d(d+1)/2`` and ``(1-lam)/d^2 - lam/d`` with multiplicity
-    ``d(d-1)/2``. The second becomes non-negative once ``lam <= 1/(d+1)``,
-    i.e. ``F <= 1/d``.
+    ``d(d-1)/2``. They equal ``(1 + d F)/(d(d+1))`` and
+    ``(1 - d F)/(d(d-1))``, the forms evaluated here with ``1 - d F`` formed
+    exactly, so the second keeps full relative precision near ``F = 1/d``,
+    where it changes sign.
     """
-    lam = mixing_parameter(d, fidelity)
-    d = int(d)
-    base = (1.0 - lam) / (d * d)
+    d = _check_d(d)
+    f = _check_fidelity(fidelity)
     return [
-        (base + lam / d, d * (d + 1) // 2),
-        (base - lam / d, d * (d - 1) // 2),
+        ((1.0 + d * f) / (d * (d + 1)), d * (d + 1) // 2),
+        (float(1 - Fraction(f) * d) / (d * (d - 1)), d * (d - 1) // 2),
     ]
 
 

@@ -164,7 +164,7 @@ class TestMinimizeRoof:
         rng = np.random.default_rng(7)
         rho = random_density(rng, 3, 3, rank=3)
         res = minimize_roof(rho, RoofConfig(restarts=3, max_iters=300, seed=8))
-        assert np.abs(res.ensemble.mixture() - rho.mat).max() <= 1e-8
+        assert res.residual == np.abs(res.ensemble.mixture() - rho.mat).max() <= 1e-8
         assert abs(average_objective(res.ensemble, "concurrence") - res.value) < 1e-12
 
     def test_seed_determinism_is_bitwise(self):
@@ -183,6 +183,7 @@ class TestMinimizeRoof:
         many = minimize_roof(rho, RoofConfig(restarts=6, max_iters=200, seed=11))
         # restart sub-seeds extend deterministically, so the first two match
         assert np.array_equal(few.restart_values, many.restart_values[:2])
+        assert few.descents == many.descents[:2]
         assert many.value <= few.value + 1e-12
 
     def test_more_iterations_only_improve(self):
@@ -266,18 +267,66 @@ class TestDescentRecord:
             assert record.grad_norm < 1e-7
 
 
+class TestBatchedRestarts:
+    """Restarts descend as one stack; each must be bitwise what it is alone."""
+
+    def test_stack_equals_each_row_alone(self):
+        stops = set()
+        # (objective, seed, rank, ensemble size, iterations): the concurrence
+        # stages end max_iters or no_step, and the tangle rows end converged
+        # or max_iters in different rounds, so later rounds run a subset
+        for objective, seed, r, m, iters in (("concurrence", 7, 4, 5, 40),
+                                             ("tangle", 0, 2, 4, 12)):
+            rng = np.random.default_rng(seed)
+            rho = random_density(rng, 2, 3, rank=r)
+            s = convex_roof._sqrt_members(rho)
+            u = np.stack([random_isometry(m, r, rng) for _ in range(4)])
+            values, finals, descents = convex_roof._refine(u.copy(), s, 2, 3, objective, iters)
+            for row, value, final, record in zip(u, values, finals, descents):
+                alone = convex_roof._refine(row[None].copy(), s, 2, 3, objective, iters)
+                assert alone[0] == [value]
+                assert np.array_equal(alone[1][0], final)
+                assert alone[2] == [record]
+                stops.update(stage.stop for stage in record)
+        assert stops == {"converged", "max_iters", "no_step"}
+
+    def test_memory_groups_do_not_change_the_result(self, monkeypatch):
+        rho = random_density(np.random.default_rng(18), 2, 3, rank=3)  # m = 7, D = 6
+        cfg = RoofConfig(restarts=5, max_iters=100, seed=19)
+        sizes = []
+        refine = convex_roof._refine
+
+        def recording(u, *args):
+            sizes.append(len(u))
+            return refine(u, *args)
+
+        monkeypatch.setattr(convex_roof, "_refine", recording)
+        results = []
+        for budget in (convex_roof._GROUP_ELEMENTS, 2 * 7 * 6, 7 * 6 - 1):
+            monkeypatch.setattr(convex_roof, "_GROUP_ELEMENTS", budget)
+            results.append(minimize_roof(rho, cfg))
+        assert sizes == [5, 2, 2, 1, 1, 1, 1, 1, 1]
+        one = results[0]
+        for res in results[1:]:
+            assert res.value == one.value
+            assert np.array_equal(res.restart_values, one.restart_values)
+            assert res.descents == one.descents
+            assert np.array_equal(res.ensemble.probabilities, one.ensemble.probabilities)
+
+
 class TestDescentCost:
     """Ceilings on objective evaluations, about 1.25x the counts of the
     Barzilai-Borwein descent; counts do not depend on machine speed."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
+        """Rows evaluated: one call evaluates a trial for each of ``len(u)`` restarts."""
         calls = [0]
         value_and_grad = convex_roof._value_and_grad
 
-        def counting(*args):
-            calls[0] += 1
-            return value_and_grad(*args)
+        def counting(u, *args):
+            calls[0] += len(u)
+            return value_and_grad(u, *args)
 
         monkeypatch.setattr(convex_roof, "_value_and_grad", counting)
         return calls

@@ -9,9 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# roof_vs_bound.py is left out: its convex-roof searches take about 25 s on a
-# 2-vCPU x86-64 machine (54 s before the descent took Barzilai-Borwein trial
-# steps), and the same searches are covered by the roof tests.
+# roof_vs_bound.py is left out: its convex-roof searches take about 13 s on a
+# 2-vCPU x86-64 machine (19 s there when the restarts of a search ran one
+# after another), and the same searches are covered by the roof tests.
 DEMOS = [
     "cavity_collapse_revival.py",
     "isotropic_sweep.py",
