@@ -47,8 +47,7 @@ def main():
     print("\nThe returned ensemble is a genuine decomposition:")
     rho = isotropic_state(3, 0.7)
     res = minimize_roof(rho, RoofConfig(restarts=4, max_iters=800, seed=1))
-    residual = np.abs(res.ensemble.mixture() - rho.mat).max()
-    print(f"  members: {len(res.ensemble)}, reconstruction residual {residual:.2e}")
+    print(f"  members: {len(res.ensemble)}, reconstruction residual {res.residual:.2e}")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,11 @@ precisely where optimal ensembles like to sit; those are handled by
 graduated smoothing, replacing ``sqrt(t)`` with ``sqrt(t + eps^2) - eps``
 and shrinking ``eps`` toward zero between descent sweeps.
 
+One trace identity scores every member, in the descent and in the final
+value alike: with ``G = M M^H`` of a member's amplitude matrix ``M``, its
+squared concurrence is ``2 ((tr G)^2 - tr G^2)``
+(:func:`~entmono.monotones._gram_terms`), so no member needs an eigensolve.
+
 The restarts of one search descend together, as one stacked array: each
 round evaluates a trial isometry for every restart still running in one
 call, while every decision (Armijo test, halving, step length, stop) is
@@ -39,8 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ISOMETRY_TOL, TRACE_TOL, DensityMatrix, PureState, _is_integer, zero_cutoff
-from .monotones import pure_concurrence, pure_tangle
+from .linalg import (ISOMETRY_TOL, TRACE_TOL, DensityMatrix, PureState, _as_complex_array,
+                     _is_integer, zero_cutoff)
+from .monotones import _gram_terms
 
 # Convergence threshold on the Riemannian gradient norm of each descent.
 STEP_TOL = 1e-7
@@ -73,7 +79,16 @@ def _check_objective(objective: str) -> str:
 
 
 class Ensemble:
-    """A probability-weighted list of pure states mixing to one density matrix."""
+    """Probability-weighted pure states mixing to one density matrix.
+
+    The members are stored as one read-only ``(m, D)`` array ``vectors``,
+    row ``i`` the amplitudes of member ``i``, next to the read-only
+    ``probabilities``. The constructor takes and validates
+    :class:`~entmono.linalg.PureState` members and weights that are positive
+    and sum to 1 within ``TRACE_TOL``; ``_from_members`` trusts its caller
+    instead, as :meth:`DensityMatrix._from_psd` does. One trace identity
+    scores every member (:func:`average_objective`).
+    """
 
     def __init__(self, probabilities, states: list[PureState]):
         probs = np.asarray(probabilities, dtype=np.float64).reshape(-1)
@@ -81,26 +96,31 @@ class Ensemble:
             raise ValueError(
                 f"{probs.size} probabilities for {len(states)} states"
             )
-        if np.any(probs <= 0.0):
+        if not np.all(probs > 0.0):  # NaN fails this test too
             raise ValueError("ensemble probabilities must all be positive")
         if abs(probs.sum() - 1.0) > TRACE_TOL:
             raise ValueError(f"ensemble probabilities sum to {probs.sum():.12g}, not 1")
         dims = states[0].dims
         if any(s.dims != dims for s in states):
             raise ValueError("all ensemble members must share the same dims")
-        probs = probs.copy()
-        probs.flags.writeable = False
-        self.probabilities = probs
-        self.states = list(states)
-        self.dims = dims
+        probs, vectors = probs.copy(), np.array([s.vec for s in states])
+        probs.flags.writeable = vectors.flags.writeable = False
+        self.probabilities, self.vectors, self.dims = probs, vectors, dims
+
+    @classmethod
+    def _from_members(cls, probs: np.ndarray, vectors: np.ndarray, dims) -> "Ensemble":
+        """Trusted ensemble from fresh arrays its caller built from a checked isometry."""
+        ens = cls.__new__(cls)
+        probs.flags.writeable = vectors.flags.writeable = False
+        ens.probabilities, ens.vectors, ens.dims = probs, vectors, dims
+        return ens
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.probabilities)
 
     def mixture(self) -> np.ndarray:
         """The density matrix ``sum_i p_i |psi_i><psi_i|`` of this ensemble."""
-        vecs = np.array([s.vec for s in self.states])
-        return np.einsum("i,ij,ik->jk", self.probabilities, vecs, vecs.conj())
+        return (self.probabilities[:, None] * self.vectors).T @ self.vectors.conj()
 
 
 @dataclass(frozen=True)
@@ -157,7 +177,8 @@ class RoofResult:
     ``descents[i][k]`` records stage ``k`` of restart ``i``: one stage per
     smoothing level for the concurrence, one for the tangle. Restarts run
     batched, but each value and record is bitwise what the restart gives
-    alone. ``residual`` is the reconstruction residual
+    alone. ``value`` scores every member of the returned ensemble by the
+    descent's trace identity. ``residual`` is the reconstruction residual
     ``max |mixture - rho|`` of the returned ensemble.
     """
 
@@ -201,7 +222,7 @@ def ensemble_from_unitary(rho: DensityMatrix, u) -> Ensemble:
     when ``u`` has an all-zero row) are dropped; the mixture of the result
     reconstructs ``rho`` up to the discarded null space.
     """
-    u = np.asarray(u, dtype=np.complex128)
+    u = _as_complex_array(u, "mixing matrix")
     if u.ndim != 2:
         raise RankMismatchError(f"mixing matrix must be 2-D, got shape {u.shape}")
     s = _sqrt_members(rho)
@@ -221,26 +242,21 @@ def _ensemble(u: np.ndarray, s: np.ndarray, dims) -> Ensemble:
 
     The weights sum to the trace of the kept eigenvalues, which misses 1 by
     the discarded null space, so the result skips the public checks of
-    :class:`Ensemble`, as :meth:`DensityMatrix._from_psd` does for states.
+    :class:`Ensemble` through :meth:`Ensemble._from_members`.
     """
     raw = u @ s
     weights = np.einsum("ij,ij->i", raw, raw.conj()).real
     keep = weights > 1e-12
     probs = weights[keep]
-    probs.flags.writeable = False
-    ens = Ensemble.__new__(Ensemble)
-    ens.probabilities, ens.dims = probs, dims
-    ens.states = [PureState(vec / np.sqrt(w_i), dims) for w_i, vec in zip(probs, raw[keep])]
-    return ens
+    return Ensemble._from_members(probs, raw[keep] / np.sqrt(probs)[:, None], dims)
 
 
 def average_objective(ensemble: Ensemble, objective: str = "concurrence") -> float:
-    """Probability-weighted average of the pure-state concurrence or tangle."""
+    """Probability-weighted average of the pure-state concurrence or tangle,
+    every member scored in one call by the descent's trace identity."""
     _check_objective(objective)
-    fn = pure_concurrence if objective == "concurrence" else pure_tangle
-    return float(
-        sum(p * fn(s) for p, s in zip(ensemble.probabilities, ensemble.states))
-    )
+    t = _gram_terms(ensemble.vectors.reshape(-1, *ensemble.dims))[2]
+    return float(ensemble.probabilities @ (np.sqrt(t) if objective == "concurrence" else t))
 
 
 def _value_and_grad(u, s, sh, d_a, d_b, objective, eps):
@@ -252,17 +268,15 @@ def _value_and_grad(u, s, sh, d_a, d_b, objective, eps):
     costs only its values. Per member, with ``G = M M^H`` of the
     unnormalized amplitude matrix ``M``, the weighted concurrence is
     ``sqrt(2 ((tr G)^2 - tr G^2))`` and the weighted tangle is that quantity
-    squared over the weight; both need only traces, no per-member
-    eigensolve. Each row is computed by the same operations as a stack of
-    one, so its result does not depend on the rest of the stack.
+    squared over the weight; both need only the traces of
+    :func:`~entmono.monotones._gram_terms`, no per-member eigensolve. Each
+    row is computed by the same operations as a stack of one, so its result
+    does not depend on the rest of the stack.
     """
     b, m = u.shape[:2]
     psis = (u @ s).reshape(b * m, -1)
     mats = psis.reshape(b * m, d_a, d_b)
-    g = mats @ mats.conj().transpose(0, 2, 1)
-    p = np.einsum("ikk->i", g).real
-    fro2 = np.einsum("ijk,ikj->i", g, g).real
-    t = 2.0 * np.maximum(p * p - fro2, 0.0)
+    g, p, t = _gram_terms(mats)
     if objective == "concurrence":
         root = np.sqrt(t + eps * eps)
         values = root.reshape(b, m).sum(axis=1) - m * eps
@@ -397,9 +411,10 @@ def minimize_roof(rho: DensityMatrix, cfg: RoofConfig | None = None) -> RoofResu
 
     Returns the smallest probability-weighted average of the pure-state
     objective found over all restarts, as a :class:`RoofResult`. The value
-    is recomputed from the returned ensemble through
-    :func:`average_objective`, so it is an upper bound on the convex roof by
-    construction, independent of optimizer quality. Identical configurations
+    is the exact average of the returned ensemble, scored by
+    :func:`average_objective` with the descent's own trace identity, so it
+    is an upper bound on the convex roof by construction, independent of
+    optimizer quality. Identical configurations
     produce bit-identical results: restarts draw from sub-seeds spawned from
     ``cfg.seed`` and the reduction runs in restart order, keeping the first
     strict minimum. The restarts descend as one batch (or, for large states,

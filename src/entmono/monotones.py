@@ -30,7 +30,6 @@ from .linalg import (
     _check_order,
     hermitian_eigenvalues,
     pt_spectrum,
-    schmidt_coefficients,
     zero_cutoff,
 )
 
@@ -120,19 +119,35 @@ def tangle_lower_bound(rho: DensityMatrix) -> float:
     return concurrence_lower_bound(rho) ** 2
 
 
-def pure_concurrence(psi: PureState) -> float:
-    """Concurrence of a bipartite pure state.
+def _gram_terms(mats: np.ndarray):
+    """Trace terms of a ``(k, d_a, d_b)`` stack of amplitude matrices ``M``.
 
-    In Schmidt coefficients ``c_i`` this is ``2 * sqrt(sum_{i<j} c_i^2 c_j^2)``,
-    evaluated through the normalization identity
-    ``sum_{i<j} c_i^2 c_j^2 = (1 - sum_i c_i^4) / 2`` which needs only the
-    fourth-power sum. Ranges from 0 on product states to
+    Returns ``G = M M^H``, its trace ``p`` (the squared norm) and
+    ``t = 2 ((tr G)^2 - tr G^2)``, clamped at zero. In Schmidt coefficients
+    ``c_i`` of the normalized member, ``t = p^2 C^2`` with
+    ``C^2 = 4 sum_{i<j} c_i^2 c_j^2`` the squared concurrence, so every
+    pure-state concurrence needs traces only, no eigensolve. Each member is
+    computed by the same operations as a stack of one.
+    """
+    g = mats @ mats.conj().transpose(0, 2, 1)
+    p = np.einsum("ikk->i", g).real
+    fro2 = np.einsum("ijk,ikj->i", g, g).real
+    return g, p, 2.0 * np.maximum(p * p - fro2, 0.0)
+
+
+def pure_concurrence(psi: PureState) -> float:
+    """Concurrence ``2 * sqrt(sum_{i<j} c_i^2 c_j^2)`` of a bipartite pure
+    state with Schmidt coefficients ``c_i``.
+
+    Evaluated by the trace identity of :func:`_gram_terms`,
+    ``C^2 = 2 ((tr G)^2 - tr G^2)`` with ``G`` the reduced density matrix,
+    the one evaluator that also scores every ensemble member of the
+    convex-roof search. Ranges from 0 on product states to
     ``sqrt(2 (d - 1) / d)`` for ``d = min(d_a, d_b)``.
     """
-    c = schmidt_coefficients(psi)
-    return float(np.sqrt(max(2.0 * (1.0 - np.sum(c**4)), 0.0)))
+    return float(np.sqrt(_gram_terms(psi.vec.reshape(1, *psi.dims))[2][0]))
 
 
 def pure_tangle(psi: PureState) -> float:
-    """Squared concurrence of a bipartite pure state."""
-    return pure_concurrence(psi) ** 2
+    """Squared concurrence of a bipartite pure state, by the same identity."""
+    return float(_gram_terms(psi.vec.reshape(1, *psi.dims))[2][0])

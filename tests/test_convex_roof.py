@@ -16,6 +16,7 @@ from entmono import (
     isotropic_state,
     minimize_roof,
     pure_concurrence,
+    pure_tangle,
     tangle_lower_bound,
 )
 from entmono import convex_roof
@@ -33,7 +34,7 @@ class TestEnsembleFromUnitary:
         ens = ensemble_from_unitary(rho, np.array([[1.0]]))
         assert len(ens) == 1
         assert abs(ens.probabilities[0] - 1.0) < 1e-12
-        overlap = abs(np.vdot(ens.states[0].vec, BELL.vec))
+        overlap = abs(np.vdot(ens.vectors[0], BELL.vec))
         assert abs(overlap - 1.0) < 1e-12
 
     def test_hadamard_mixing_of_maximally_mixed_qubit(self):
@@ -43,8 +44,8 @@ class TestEnsembleFromUnitary:
         assert np.allclose(ens.probabilities, [0.5, 0.5], atol=1e-12)
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
         minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        assert abs(abs(np.vdot(ens.states[0].vec, plus)) - 1.0) < 1e-12
-        assert abs(abs(np.vdot(ens.states[1].vec, minus)) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(ens.vectors[0], plus)) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(ens.vectors[1], minus)) - 1.0) < 1e-12
 
     def test_reconstruction(self):
         rng = np.random.default_rng(1)
@@ -65,6 +66,12 @@ class TestEnsembleFromUnitary:
         rho = isotropic_state(2, 0.9)  # full rank: 4
         with pytest.raises(RankMismatchError):
             ensemble_from_unitary(rho, np.eye(3))
+
+    @pytest.mark.parametrize("u", [[[np.nan]], [[1.0], [np.nan]], [[np.inf]]])
+    def test_rejects_non_finite_mixing_matrix(self, u):
+        # a NaN entry passes |u^H u - I| <= ISOMETRY_TOL, which is False for NaN
+        with pytest.raises(ValueError, match="mixing matrix contains non-finite"):
+            ensemble_from_unitary(BELL.to_density(), u)
 
 
 class TestSubCutoffNullSpace:
@@ -100,6 +107,19 @@ class TestEnsembleValidation:
         with pytest.raises(ValueError, match="positive"):
             Ensemble([1.0, 0.0], [BELL, PRODUCT])
 
+    @pytest.mark.parametrize("probs", [[np.nan], [0.5, np.nan], [np.inf]])
+    def test_non_finite_probabilities(self, probs):
+        with pytest.raises(ValueError, match="positive|sum"):
+            Ensemble(probs, [BELL, PRODUCT][: len(probs)])
+
+    def test_stores_members_as_one_read_only_array(self):
+        ens = Ensemble([0.25, 0.75], [BELL, PRODUCT])
+        assert ens.vectors.shape == (2, 4)
+        assert np.array_equal(ens.vectors, [BELL.vec, PRODUCT.vec])
+        assert not ens.vectors.flags.writeable and not ens.probabilities.flags.writeable
+        expected = 0.25 * np.outer(BELL.vec, BELL.vec.conj()) + 0.75 * np.diag([1, 0, 0, 0])
+        assert np.abs(ens.mixture() - expected).max() <= 1e-16
+
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
             Ensemble([0.5, 0.4], [BELL, PRODUCT])
@@ -128,6 +148,24 @@ class TestAverageObjective:
     def test_rejects_unknown_objective(self):
         with pytest.raises(ValueError, match="objective"):
             average_objective(Ensemble([1.0], [BELL]), "entropy")
+
+    def test_one_trace_evaluator_and_no_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        members = [random_pure(rng, 3, 4) for _ in range(3)]
+        ens = Ensemble([0.2, 0.3, 0.5], members)
+        expected = {objective: sum(p * fn(psi) for p, psi in zip(ens.probabilities, members))
+                    for objective, fn in (("concurrence", pure_concurrence),
+                                          ("tangle", pure_tangle))}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigensolve in a pure-state concurrence")
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        for objective, value in expected.items():
+            assert average_objective(ens, objective) == pytest.approx(value, rel=1e-15)
+        for psi in members:
+            assert pure_tangle(psi) == pytest.approx(pure_concurrence(psi) ** 2, rel=1e-15)
 
 
 class TestMinimizeRoof:
@@ -234,6 +272,18 @@ class TestMinimizeRoof:
         res = minimize_roof(rho, RoofConfig(restarts=2, max_iters=20, seed=0))
         assert shapes == [(9, 9)]
         assert res.value == pytest.approx(average_objective(res.ensemble), abs=0)
+
+    def test_search_builds_no_pure_state(self, monkeypatch):
+        built = []
+        init = PureState.__init__
+
+        def counting(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(PureState, "__init__", counting)
+        res = minimize_roof(isotropic_state(3, 0.8), RoofConfig(restarts=1, max_iters=20, seed=0))
+        assert built == [] and len(res.ensemble) == 13
 
     def test_ensemble_size_bounds(self):
         rho = isotropic_state(2, 0.8)  # rank 4

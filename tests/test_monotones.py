@@ -200,7 +200,7 @@ class TestPureStateMeasures:
         assert abs(pure_tangle(psi) - 4.0 / 3.0) < 1e-12
 
     def test_fourth_power_identity_matches_double_sum(self):
-        # sum_{i<j} c_i^2 c_j^2 must equal (1 - sum c^4) / 2 on unit vectors
+        # the trace identity of pure_concurrence against the Schmidt double sum
         rng = np.random.default_rng(7)
         for _ in range(100):
             d_a, d_b = int(rng.integers(2, 5)), int(rng.integers(2, 6))

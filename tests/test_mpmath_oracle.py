@@ -1,9 +1,11 @@
 """Closed forms against arbitrary-precision references (mpmath, 60 digits)."""
 
 import mpmath
+import numpy as np
 import pytest
 
-from entmono import isotropic_concurrence_bound
+from entmono import isotropic_concurrence_bound, neg_pnorm
+from entmono.linalg import ZERO_EIG_TOL
 from entmono.states import isotropic_pt_spectrum
 
 mpmath.mp.dps = 60
@@ -39,3 +41,28 @@ def test_isotropic_pt_spectrum_near_threshold(d, excess):
     exact = [(1 + d * f) / (d * (d + 1)), (1 - d * f) / (d * (d - 1))]
     for (got, _), want in zip(isotropic_pt_spectrum(d, fidelity), exact):
         assert abs((got - want) / want) < 4.5e-16
+
+
+def _neg_pnorm_reference(w, p):
+    # m * (sum (|x| / m)^p)^(1/p) over the values below the zero cutoff, in
+    # mpmath; the scaled form keeps (|x| / m)^p in [0, 1] even at p = 1e300
+    cut = ZERO_EIG_TOL * max(abs(x) for x in w)
+    mags = [mpmath.mpf(-x) for x in w if x < -cut]
+    if not mags:
+        return mpmath.mpf(0)
+    m, q = max(mags), mpmath.mpf(p)
+    return m * mpmath.fsum((x / m) ** q for x in mags) ** (1 / q)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 7.5, 1e3, 1e15, 1e300])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300])
+def test_neg_pnorm_on_diagonal_spectra(p, scale):
+    # diagonal inputs, so the eigensolver adds no error; magnitudes spread over
+    # 14 decades, so some entries fall below the zero cutoff
+    rng = np.random.default_rng(int(np.log10(scale)) + 400)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        w = scale * rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-14.0, 0.0, n)
+        w[0] = -scale * rng.uniform(0.1, 1.0)
+        exact = _neg_pnorm_reference(w, p)
+        assert abs((neg_pnorm(np.diag(w), p) - exact) / exact) <= 2e-15
