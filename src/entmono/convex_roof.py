@@ -13,15 +13,16 @@ exact average of a concrete decomposition, hence a certified upper bound on
 the I-concurrence (or I-tangle). Together with the spectral lower bounds of
 :mod:`.monotones` this sandwiches the true value.
 
-The search runs independent random-isometry restarts, each refined by
-Riemannian gradient descent on the isometry manifold (analytic Wirtinger
-gradient, polar retraction, monotone Armijo backtracking that starts from a
-Barzilai-Borwein step). Each descent records how it ended
-(:class:`Descent`). The concurrence objective
+The search runs independent random-isometry restarts, each refined by a
+Riemannian descent on the isometry manifold (analytic Wirtinger gradient,
+L-BFGS directions for the concurrence and scaled gradient steps for the
+tangle, polar retraction, monotone Armijo backtracking). Each descent
+records how it ended (:class:`Descent`). The concurrence objective
 has square-root kinks wherever a member becomes a product state, which is
 precisely where optimal ensembles like to sit; those are handled by
 graduated smoothing, replacing ``sqrt(t)`` with ``sqrt(t + eps^2) - eps``
-and shrinking ``eps`` toward zero between descent sweeps.
+and shrinking ``eps`` toward zero between descent sweeps. Each restart is
+scored unsmoothed at the end, as the returned value is.
 
 One trace identity scores every member, in the descent and in the final
 value alike: with ``G = M M^H`` of a member's amplitude matrix ``M``, its
@@ -57,10 +58,18 @@ OBJECTIVES = ("concurrence", "tangle")
 # polynomial and needs none.
 _EPS_STAGES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9)
 
+# L-BFGS memory length of each objective's descent. The concurrence descents
+# run hundreds of iterations along the curved valleys the smoothing leaves,
+# where four pairs cut the evaluations about sixfold; the tangle descents end
+# in about 16 iterations, too few for the two-loop to pay for itself, so they
+# take the scaled gradient step alone.
+_MEMORY = {"concurrence": 4, "tangle": 0}
+
 # Restarts run in groups whose stacked members ``u @ s`` hold at most this
 # many complex entries (1 MiB), or one restart when a single one holds more.
-# The descent's temporaries are a few arrays of this size, and batching gains
-# only where per-call overhead dominates, long before this size.
+# The descent's temporaries are a few arrays of this size (its L-BFGS pairs
+# hold 8 m r entries per restart, at most eight times its m D members), and
+# batching gains only where per-call overhead dominates, long before this size.
 _GROUP_ELEMENTS = 1 << 16
 
 
@@ -178,8 +187,10 @@ class RoofResult:
     smoothing level for the concurrence, one for the tangle. Restarts run
     batched, but each value and record is bitwise what the restart gives
     alone. ``value`` scores every member of the returned ensemble by the
-    descent's trace identity. ``residual`` is the reconstruction residual
-    ``max |mixture - rho|`` of the returned ensemble.
+    descent's trace identity. ``restart_values`` are the unsmoothed averages
+    of the restarts' final ensembles, for the concurrence scored exactly as
+    ``value`` is, which is their minimum. ``residual`` is the reconstruction
+    residual ``max |mixture - rho|`` of the returned ensemble.
     """
 
     value: float
@@ -303,90 +314,141 @@ def _tangent(u, z):
     return z - u @ (uz + uz.conj().transpose(0, 2, 1)) * 0.5
 
 
+def _dots(a, b):
+    """Row inner products ``<a_k, b_k>`` of two ``(B, N)`` real stacks, one
+    stacked matmul, each row computed as it would be in a stack of one."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _descend(u, s, sh, d_a, d_b, objective, eps, max_iters):
-    """Riemannian gradient descent with Armijo backtracking on a stack of
+    """Riemannian L-BFGS descent with Armijo backtracking on a stack of
     isometries; accepts only strict improvements, so each smoothed value is
     non-increasing.
 
-    Each backtracking starts from a Barzilai-Borwein step (Barzilai and
-    Borwein, IMA J. Numer. Anal. 8, 141 (1988); on the Stiefel manifold, Wen
-    and Yin, Math. Program. 142, 397 (2013)). With ``step`` the last
-    accepted move and ``dxi`` the change of the Riemannian gradient ``xi``,
-    the old one carried over by tangent projection, the trial step
-    alternates between ``<step,step>/|<step,dxi>|`` and
-    ``|<step,dxi>|/<dxi,dxi>`` (``<a,b> = Re vdot(a, b)``), clipped to
-    [1e-10, 1e10]. The first trial is 1, and so is any trial with
-    ``<step,dxi> = 0`` or a ratio that is not finite.
+    The direction ``d`` is the L-BFGS two-loop product (Nocedal, Math.
+    Comp. 35, 773 (1980)) of the last ``_MEMORY[objective]`` pairs
+    ``(step, dxi)``, with ``step`` an accepted move and ``dxi`` the change it
+    made to the Riemannian gradient ``xi``, the old gradient carried over by
+    tangent projection, projected onto the tangent space. Its initial inverse
+    Hessian is ``gamma = <step,dxi>/<dxi,dxi>`` (``<a,b> = Re vdot(a, b)``)
+    of the newest pair, the second Barzilai-Borwein length (Barzilai and
+    Borwein, IMA J. Numer. Anal. 8, 141 (1988)), or 1 before the first pair;
+    a pair with ``<step,dxi> <= 0`` is not stored. With no memory the step is
+    ``-gamma xi``, formed as the direction ``-xi`` at the trial length
+    ``gamma``. A direction with ``<xi,d>`` not negative is replaced by
+    ``-xi``. Each backtracking starts from the full step and halves it until
+    the retracted point lowers the value by ``1e-4`` times the slope
+    ``<xi,d>`` times the trial length.
 
     The rows of ``u`` (``(B, m, r)``, owned and overwritten) descend in
     lockstep: each round evaluates one trial for every row still running,
-    in one call, and every decision is taken per row on scalars, so each
-    row follows the trajectory it would follow alone. Returns the values,
-    the isometries and one :class:`Descent` record per row.
+    in one call, and forms the directions of the rows that moved by stacked
+    matmuls on real views. Every decision is taken per row on scalars, so
+    each row follows the trajectory it would follow alone.
+    Returns the values, the isometries and one :class:`Descent` record per
+    row.
     """
     n = len(u)
+    mem = _MEMORY[objective]
     values, grad = _value_and_grad(u, s, sh, d_a, d_b, objective, eps)
     xi = _tangent(u, grad())
-    t_step = [1.0] * n
+    width = 2 * xi[0].size
+    # pairs newest last; an empty slot has rho = 0 and is a no-op
+    pair_s, pair_y, rho = np.zeros((n, mem, width)), np.zeros((n, mem, width)), np.zeros((n, mem))
+    gamma, trial, slope, p_norm, ng2 = [1.0] * n, [1.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
     iters = [0] * n
-    ng2 = [0.0] * n
     records = [None] * n
 
-    def runs(i):
-        """Start iteration ``iters[i] + 1`` of row ``i``, or record its stop."""
-        x = xi[i]
-        ng2[i] = g2 = float(np.vdot(x, x).real)
-        if g2 < STEP_TOL * STEP_TOL:
-            stop = "converged"
-        elif iters[i] == max_iters:
-            stop = "max_iters"
-        elif t_step[i] * math.sqrt(g2) > 1e-14:
-            return True
+    def start(rows, u_r, xi_r):
+        """New directions ``d = -p`` for ``rows`` at ``u_r``, or record their
+        stop. With no memory ``p`` is ``xi`` itself."""
+        k = len(rows)
+        x = xi_r.view(np.float64).reshape(k, -1)
+        g2 = _dots(x, x).tolist()
+        if mem:
+            ps, py, pr = pair_s[rows], pair_y[rows], rho[rows]
+            q, alphas = x, []
+            for j in reversed(range(mem)):
+                a = pr[:, j] * _dots(ps[:, j], q)
+                q = q - a[:, None] * py[:, j]
+                alphas.append(a)
+            z = np.array([gamma[i] for i in rows])[:, None] * q
+            for j in range(mem):
+                b = pr[:, j] * _dots(py[:, j], z)
+                z = z + (alphas[mem - 1 - j] - b)[:, None] * ps[:, j]
+            p_r = _tangent(u_r, z.view(np.complex128).reshape(xi_r.shape))
+            pv = p_r.view(np.float64).reshape(k, -1)
+            slopes, pp = _dots(x, pv).tolist(), _dots(pv, pv).tolist()
         else:
-            stop = "no_step"
-        records[i] = Descent(iters[i], stop, math.sqrt(g2))
-        return False
+            p_r, slopes, pp = xi_r, g2, g2
+        for j, i in enumerate(rows):
+            if not slopes[j] > 0.0:
+                p_r[j], slopes[j], pp[j] = xi_r[j], g2[j], g2[j]
+            trial[i] = 1.0 if mem else gamma[i]
+            slope[i], p_norm[i], ng2[i] = slopes[j], math.sqrt(pp[j]), g2[j]
+            if g2[j] < STEP_TOL * STEP_TOL:
+                stop = "converged"
+            elif iters[i] == max_iters:
+                stop = "max_iters"
+            elif trial[i] * p_norm[i] > 1e-14:
+                continue
+            else:
+                stop = "no_step"
+            records[i] = Descent(iters[i], stop, math.sqrt(g2[j]))
+        return p_r
 
-    live = [i for i in range(n) if runs(i)]
+    def remember(rows, step, dxi):
+        """Store each row's pair ``(step, dxi)`` when ``<step,dxi> > 0``."""
+        k = len(rows)
+        sv, yv = step.view(np.float64).reshape(k, -1), dxi.view(np.float64).reshape(k, -1)
+        sy, yy = _dots(sv, yv).tolist(), _dots(yv, yv).tolist()
+        keep = [j for j in range(k) if sy[j] > 0.0]
+        for j in keep:
+            gamma[rows[j]] = sy[j] / yy[j]
+        if mem and keep:
+            kept = [rows[j] for j in keep]
+            pair_s[kept] = np.concatenate((pair_s[kept, 1:], sv[keep, None]), axis=1)
+            pair_y[kept] = np.concatenate((pair_y[kept, 1:], yv[keep, None]), axis=1)
+            rho[kept] = np.concatenate((rho[kept, 1:], [[1.0 / sy[j]] for j in keep]), axis=1)
+
+    p = start(list(range(n)), u, xi)
+    live = [i for i in range(n) if records[i] is None]
     while live:
         # a lone row scales by a float, cheaper than broadcasting a
         # (1, 1, 1) array and bitwise the same
         if len(live) == 1:
-            trial = t_step[live[0]]
+            t = trial[live[0]]
         else:
-            trial = np.array([t_step[i] for i in live])[:, None, None]
+            t = np.array([trial[i] for i in live])[:, None, None]
         u_l, xi_l = (u, xi) if len(live) == n else (u[live], xi[live])
-        cand = _polar(u_l - trial * xi_l)
+        p_l = xi_l if not mem else p if len(live) == n else p[live]
+        cand = _polar(u_l - t * p_l)
         c_vals, c_grad = _value_and_grad(cand, s, sh, d_a, d_b, objective, eps)
         acc = []
         for j, i in enumerate(live):
-            if c_vals[j] <= values[i] - 1e-4 * t_step[i] * ng2[i]:
+            if c_vals[j] <= values[i] - 1e-4 * trial[i] * slope[i]:
                 acc.append(j)
                 continue
-            t_step[i] *= 0.5
-            if not t_step[i] * math.sqrt(ng2[i]) > 1e-14:
+            trial[i] *= 0.5
+            if not trial[i] * p_norm[i] > 1e-14:
                 records[i] = Descent(iters[i], "no_step", math.sqrt(ng2[i]))
         if acc:
             c_grad = c_grad()
             if len(acc) < len(live):
                 cand, c_grad, u_l, xi_l = cand[acc], c_grad[acc], u_l[acc], xi_l[acc]
             c_xi = _tangent(cand, c_grad)
-            step, dxi = cand - u_l, c_xi - _tangent(cand, xi_l)
+            rows = [live[j] for j in acc]
+            for j in acc:
+                iters[live[j]] += 1
+                values[live[j]] = c_vals[j]
+            remember(rows, cand - u_l, c_xi - _tangent(cand, xi_l))
+            c_p = start(rows, cand, c_xi)
             if len(acc) == n:
-                u, xi = cand, c_xi
+                u, xi, p = cand, c_xi, c_p
             else:
-                rows = [live[j] for j in acc]
                 u[rows], xi[rows] = cand, c_xi
-            for k, j in enumerate(acc):
-                i = live[j]
-                st, dx = step[k], dxi[k]
-                iters[i] += 1
-                sy = abs(np.vdot(st, dx).real)
-                if sy:
-                    bb = np.vdot(st, st).real / sy if iters[i] % 2 else sy / np.vdot(dx, dx).real
-                t_step[i] = min(max(bb, 1e-10), 1e10) if sy and math.isfinite(bb) else 1.0
-                values[i] = c_vals[j]
-                runs(i)
+                if mem:
+                    p[rows] = c_p
         live = [i for i in live if records[i] is None]
     return values, u, records
 
@@ -395,8 +457,9 @@ def _refine(u, s, d_a, d_b, objective, max_iters):
     """Every smoothing stage on the stack ``u`` of isometries, ``(B, m, r)``,
     which is overwritten.
 
-    All rows finish a stage before the next starts. Returns the final values,
-    isometries and, per row, the tuple of stage records.
+    All rows finish a stage before the next starts. Returns the last stage's
+    values, which for the concurrence are smoothed, the final isometries
+    and, per row, the tuple of stage records.
     """
     sh = s.conj().T
     stages = []
@@ -441,6 +504,10 @@ def minimize_roof(rho: DensityMatrix, cfg: RoofConfig | None = None) -> RoofResu
         starts = [random_isometry(m, r, np.random.default_rng(c)) for c in children[lo:lo + group]]
         values, finals, records = _refine(np.stack(starts), s, d_a, d_b, cfg.objective,
                                           cfg.max_iters)
+        if cfg.objective == "concurrence":
+            # the last stage's values are smoothed, up to m * eps below the
+            # true averages; score each restart as the returned value is
+            values = [average_objective(_ensemble(u, s, rho.dims)) for u in finals]
         for val, u in zip(values, finals):
             if val < best_val:
                 best_val, best_u = val, u

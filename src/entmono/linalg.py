@@ -113,7 +113,8 @@ def _check_dims(dims, size: int) -> tuple[int, int]:
 def assert_hermitian(a: np.ndarray, scale: float = 1.0) -> None:
     """Raise :class:`NonHermitianError` unless ``max |a - a^H|`` is within
     ``HERM_TOL * scale``, with ``scale`` the size of ``a``'s entries."""
-    dev = np.abs(a - a.conj().T).max(initial=0.0)
+    d = np.conjugate(a.T, order="C")  # the one D x D temporary
+    dev = np.abs(np.subtract(a, d, out=d)).max(initial=0.0)
     tol = HERM_TOL * scale
     if dev > tol:
         raise NonHermitianError(

@@ -137,6 +137,21 @@ class TestScaleFreeHermiticity:
         with pytest.raises(NonHermitianError):
             hermitian_eigenvalues(np.array([[0.0, 1e-10], [0.0, 0.0]]))
 
+    def test_deviation_is_the_plain_abs_max(self, monkeypatch):
+        # with HERM_TOL = 1 the tolerance is the scale itself, so a scale equal
+        # to np.abs(a - a.conj().T).max() passes and the next float below fails
+        # only if the in-place scan finds that deviation bit for bit
+        monkeypatch.setattr(linalg, "HERM_TOL", 1.0)
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3, 8, 31, 64):
+            h = random_hermitian(rng, n)
+            skew = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = h + 10.0 ** rng.uniform(-12, 0) * skew
+            dev = np.abs(a - a.conj().T).max()
+            linalg.assert_hermitian(a, dev)
+            with pytest.raises(NonHermitianError):
+                linalg.assert_hermitian(a, np.nextafter(dev, 0.0))
+
 
 class TestPartialTranspose:
     def test_product_state_stays_psd(self):
