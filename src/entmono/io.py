@@ -6,13 +6,16 @@ The on-disk format is a UTF-8 JSON object::
      "re": [[...], ...], "im": [[...], ...]}
 
 ``re`` and ``im`` hold the real and imaginary parts of the row-major matrix;
-a ``"pure"`` state uses a single row. Non-rectangular arrays and shapes that
-do not match ``d_a * d_b`` are rejected.
+a ``"pure"`` state uses a single row. Every entry must be a JSON number (a
+Python ``int`` or ``float`` in a parsed dictionary); ``true``, ``false`` and
+strings are rejected, as are non-rectangular arrays and shapes that do not
+match ``d_a * d_b``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -29,10 +32,14 @@ def _rect_array(obj, key: str) -> np.ndarray:
     width = len(obj[0])
     if width == 0 or any(len(r) != width for r in obj):
         raise StateFormatError(f'"{key}" is not rectangular')
+    # JSON numbers only: numpy would read true, false and numeric strings as
+    # numbers, and bool is an int subclass, so the test is on the exact type
+    if not set(map(type, chain.from_iterable(obj))) <= {int, float}:
+        raise StateFormatError(f'"{key}" contains non-numeric entries')
     try:
         return np.array(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise StateFormatError(f'"{key}" contains non-numeric entries') from exc
+    except OverflowError as exc:
+        raise StateFormatError(f'"{key}" contains an integer beyond the float range') from exc
 
 
 def state_from_dict(obj) -> DensityMatrix | PureState:

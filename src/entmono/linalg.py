@@ -44,6 +44,8 @@ its real part, which is exactly the overlap with the Hermitian part of ``rho``.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 HERM_TOL = 1e-8
@@ -128,14 +130,32 @@ def zero_cutoff(w: np.ndarray) -> np.ndarray:
     return ZERO_EIG_TOL * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
 
 
+# (key, read-only spectrum) of the last raw matrix solved; replaced whole by
+# one assignment, so a reader never sees a key with another matrix's spectrum
+_last_raw = (None, None)
+
+
 def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a square matrix, Hermitian within ``HERM_TOL *
     |a|_max``, in descending order (degenerate ones in no order beyond the
     numeric sort). The rule is scale-free: ``c * a`` passes exactly when ``a``
-    does, for every power of two ``c`` short of overflow and underflow."""
-    a = _as_square_matrix(a)
-    assert_hermitian(a, np.abs(a).max(initial=0.0))
-    return _eigvalsh_descending(a)
+    does, for every power of two ``c`` short of overflow and underflow.
+
+    The spectrum of the last matrix solved is remembered by content, its shape
+    and the SHA-256 of its ``complex128`` bytes, so a sweep over ``p`` on one
+    matrix makes one Hermiticity scan and one eigensolve. A repeat returns a
+    fresh copy, bitwise the first result; an array edited in place has other
+    bytes and is solved again. A matrix that fails validation is not kept."""
+    global _last_raw
+    a = np.ascontiguousarray(_as_square_matrix(a))
+    key = (a.shape, hashlib.sha256(a).digest())
+    last_key, w = _last_raw
+    if key != last_key:
+        assert_hermitian(a, np.abs(a).max(initial=0.0))
+        w = _eigvalsh_descending(a)
+        w.flags.writeable = False
+        _last_raw = key, w
+    return w.copy()
 
 
 def _eigvalsh_descending(a: np.ndarray) -> np.ndarray:

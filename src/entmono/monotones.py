@@ -8,7 +8,8 @@ spectrum,
 which satisfies the triangle inequality and is convex on Hermitian matrices.
 Applied to the partial transpose of a density matrix, ``p = 1`` is the
 negativity, which does not increase under local channels (Vidal and Werner,
-PRA 65, 032314 (2002)). For ``p > 1`` a local channel can raise the value: on
+PRA 65, 032314 (2002); for monotones in general, Vidal, J. Mod. Opt. 47, 355
+(2000)). For ``p > 1`` a local channel can raise the value: on
 2 x 4, a channel on the second party maps ``(|Phi01><Phi01| + |Phi23><Phi23|) / 2``
 to ``|Phi01><Phi01|`` and raises it from ``2^(1/p) / 4`` to ``1/2``. Twice the
 ``p = 2`` value is still a lower bound on the I-concurrence (its square bounds
@@ -66,7 +67,11 @@ class MonotoneReport:
 
 
 def monotone_report(a, p: float = 2.0) -> MonotoneReport:
-    """Negative-spectrum norms of a Hermitian matrix ``a`` for one order ``p``."""
+    """Negative-spectrum norms of a Hermitian matrix ``a`` for one order ``p``.
+
+    :func:`~entmono.linalg.hermitian_eigenvalues` remembers the last matrix
+    it solved by content, so calls for several ``p`` on one matrix, one after
+    another, share one validation and one eigensolve."""
     return _spectrum_report(hermitian_eigenvalues(a), _check_order(p))
 
 

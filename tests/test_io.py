@@ -115,6 +115,23 @@ def test_rejects_non_numeric():
         state_from_dict(obj)
 
 
+@pytest.mark.parametrize("entry", [True, False, "1", "0.5", None, [1.0]])
+def test_rejects_entries_that_are_not_json_numbers(entry):
+    # numpy reads true/false and numeric strings as numbers, and null as NaN
+    for key in ("re", "im"):
+        obj = _bell_dict()
+        obj[key][1][2] = entry
+        with pytest.raises(StateFormatError, match=f'"{key}" contains non-numeric'):
+            state_from_dict(obj)
+
+
+def test_integer_beyond_float_range_is_named():
+    obj = _bell_dict()
+    obj["re"][0][0] = 10**400
+    with pytest.raises(StateFormatError, match="beyond the float range"):
+        state_from_dict(obj)
+
+
 def test_parse_error_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"d_a": 2,\n  oops}')

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from conftest import random_density, random_hermitian, random_pure
@@ -16,6 +19,7 @@ from entmono import (
     hermitian_eigenvalues,
     isotropic_state,
     monotone_report,
+    neg_pnorm,
     negativity,
     partial_transpose,
     pt_spectrum,
@@ -376,6 +380,9 @@ def test_eigensolver_failure_is_a_convergence_error(monkeypatch):
     def not_positive(a):  # sends the constructor on to the eigensolve
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
+    # solve another matrix first, so that no spectrum of rho.mat remembered by
+    # an earlier test can answer hermitian_eigenvalues below
+    hermitian_eigenvalues(np.eye(1))
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     monkeypatch.setattr(np.linalg, "cholesky", not_positive)
     calls = [
@@ -463,10 +470,6 @@ class TestOneEigensolvePerState:
             pt_spectrum(rho)
             assert solves == [rho.mat.shape]
 
-    def test_raw_matrix_path_is_not_cached(self, solves):
-        pt = partial_transpose(isotropic_state(3, 0.7))
-        monotone_report(pt, 2.0), hermitian_eigenvalues(pt)
-        assert len(solves) == 2
 
     def test_kept_spectrum_is_read_only_and_bitwise_the_eigensolve(self):
         rng = np.random.default_rng(82)
@@ -479,6 +482,118 @@ class TestOneEigensolvePerState:
             assert pt_spectrum(rho) is w
             expect = _eigvalsh_descending(partial_transpose(rho))
             assert w.dtype == expect.dtype and np.array_equal(w, expect)
+
+
+class TestLastRawSpectrum:
+    """``hermitian_eigenvalues`` remembers the spectrum of the last raw matrix
+    it solved, keyed by content: a p-sweep on one matrix is one eigensolve,
+    and any other bytes are solved again."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return solve(a)
+
+        hermitian_eigenvalues(np.eye(1))  # whatever an earlier test left is gone
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    def test_p_sweep_on_one_matrix_is_one_eigensolve(self, solves):
+        rho = isotropic_state(3, 0.7)
+        for p in (1.0, 2.0, 3.0):
+            monotone_report(partial_transpose(rho), p)
+        neg_pnorm(partial_transpose(rho), 1.5)
+        hermitian_eigenvalues(partial_transpose(rho))
+        assert solves == [(9, 9)]
+
+    def test_in_place_edit_is_solved_again(self, solves):
+        a = random_hermitian(np.random.default_rng(90), 5)
+        before = hermitian_eigenvalues(a)
+        a[0, 0] += 1.0
+        after = hermitian_eigenvalues(a)
+        assert len(solves) == 2
+        assert np.array_equal(after, _eigvalsh_descending(a))
+        assert not np.array_equal(after, before)
+
+    def test_editing_a_result_does_not_change_the_next(self, solves):
+        a = random_hermitian(np.random.default_rng(91), 6)
+        w = hermitian_eigenvalues(a)
+        expect = w.copy()
+        assert w.flags.writeable
+        w[:] = 0.0
+        again = hermitian_eigenvalues(a)
+        assert again is not w and np.array_equal(again, expect)
+        again[0] = -1.0
+        assert np.array_equal(hermitian_eigenvalues(a), expect)
+        assert len(solves) == 1
+
+    def test_invalid_input_raises_on_every_call(self, solves):
+        skewed = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for _ in range(3):
+            with pytest.raises(NonHermitianError):
+                hermitian_eigenvalues(skewed)
+            with pytest.raises(NonHermitianError):
+                monotone_report(skewed, 2.0)
+        assert solves == []
+
+    def test_transposed_view_is_solved_as_its_content(self, solves):
+        rng = np.random.default_rng(92)
+        for n in (2, 7, 16):
+            a = random_hermitian(rng, n)
+            view = a.T  # conj(a): the same spectrum, not C-contiguous
+            assert not view.flags.c_contiguous
+            del solves[:]
+            w = hermitian_eigenvalues(view)
+            same = hermitian_eigenvalues(np.ascontiguousarray(view))
+            assert len(solves) == 1
+            assert np.array_equal(w, _eigvalsh_descending(view)) and np.array_equal(same, w)
+            assert np.allclose(w, _eigvalsh_descending(a), rtol=0, atol=1e-13 * n)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.booleans())
+    def test_hits_and_misses_are_bitwise_the_eigensolve(self, seed, n, transposed):
+        rng = np.random.default_rng(seed)
+        a = random_hermitian(rng, n, scale=10.0 ** rng.uniform(-100, 100))
+        if transposed:
+            a = a.T
+        expect = _eigvalsh_descending(a)
+        neg = expect[expect < -linalg.zero_cutoff(expect)]
+        for _ in range(3):
+            w = hermitian_eigenvalues(a)
+            assert w.dtype == expect.dtype and np.array_equal(w, expect)
+            assert np.array_equal(monotone_report(a, 2.0).negative_eigenvalues, neg)
+
+    def test_threads_sharing_the_memory_get_their_own_spectra(self):
+        # more threads than cores, switching often, all cycling through the
+        # same few matrices out of step: a key ever paired with another
+        # matrix's spectrum would hand some call a wrong result
+        rng = np.random.default_rng(93)
+        mats = [random_hermitian(rng, 48) for _ in range(3)]
+        expect = [_eigvalsh_descending(a) for a in mats]
+        wrong = []
+
+        def work(i):
+            for k in range(300):
+                j = (i + k) % len(mats)
+                if not np.array_equal(hermitian_eigenvalues(mats[j]), expect[j]):
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestValidatedOnce:

@@ -7,6 +7,13 @@ unitaries, since ``(U x V) rho (U x V)^H`` has the partial transpose
 to increase under local channels (Vidal and Werner, PRA 65, 032314 (2002));
 ``TestLocalChannels`` in ``test_monotones.py`` shows a channel that raises
 every ``p > 1``.
+
+On a pure state with Schmidt probabilities ``lambda`` the member is
+``(sum_{i<j} (lambda_i lambda_j)^(p/2))^(1/p)``, and by Nielsen (PRL 83, 436
+(1999)) it does not increase under local operations on pure states exactly
+when it is Schur-concave in ``lambda``: a T-transform, which mixes two
+probabilities, never lowers it. That holds in every test for
+``p in {1, 1.5, 2}`` and fails at ``p = 3``.
 """
 
 import numpy as np
@@ -14,7 +21,7 @@ from conftest import random_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmono import DensityMatrix, neg_pnorm, partial_transpose
+from entmono import DensityMatrix, PureState, neg_pnorm, partial_transpose
 
 _settings = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 _dims = st.tuples(st.integers(2, 3), st.integers(2, 3))
@@ -61,3 +68,36 @@ def test_negativity_does_not_increase_under_local_channels(dims, seed):
               for a in _kraus(rng, dims[0]) for b in _kraus(rng, dims[1])
               for k in [np.kron(a, b)])
     assert _pt_norm(out, dims, 1.0) <= neg_pnorm(partial_transpose(rho), 1.0) + 1e-12
+
+
+def _schmidt_pt_norm(rng, probs, p):
+    """``neg_pnorm`` of the partial transpose of a ``d x d`` pure state with
+    Schmidt probabilities ``probs``, turned by random local unitaries."""
+    d = probs.size
+    w = np.kron(_isometry(rng, d, d), _isometry(rng, d, d))
+    psi = PureState(w @ np.diag(np.sqrt(probs)).reshape(-1), (d, d))
+    return neg_pnorm(partial_transpose(psi.to_density()), p)
+
+
+@_settings
+@given(st.integers(2, 4), _seeds, st.sampled_from([1.0, 1.5, 2.0]))
+def test_schur_concave_on_pure_states(d, seed, p):
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.full(d, rng.uniform(0.2, 2.0)))
+    i, j = rng.choice(d, size=2, replace=False)
+    t = rng.uniform(0.0, 1.0)
+    mixed = probs.copy()
+    mixed[i], mixed[j] = t * probs[i] + (1 - t) * probs[j], (1 - t) * probs[i] + t * probs[j]
+    assert _schmidt_pt_norm(rng, mixed, p) >= _schmidt_pt_norm(rng, probs, p) - 1e-12
+
+
+def test_schur_concavity_fails_at_p_3():
+    # the T-transform with t = 1/2 on the last two of (1/2, 1/2, 0) gives
+    # (1/2, 1/4, 1/4): the p = 3 member falls from 1/2 to
+    # (2 (1/8)^(3/2) + (1/16)^(3/2))^(1/3) = 0.470...
+    rng = np.random.default_rng(0)
+    before = _schmidt_pt_norm(rng, np.array([0.5, 0.5, 0.0]), 3.0)
+    after = _schmidt_pt_norm(rng, np.array([0.5, 0.25, 0.25]), 3.0)
+    assert abs(before - 0.5) <= 1e-12
+    assert abs(after - (2 * (1 / 8) ** 1.5 + (1 / 16) ** 1.5) ** (1 / 3)) <= 1e-12
+    assert after < before - 0.02

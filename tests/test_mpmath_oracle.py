@@ -1,5 +1,7 @@
 """Closed forms against arbitrary-precision references (mpmath, 60 digits)."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from entmono import isotropic_concurrence_bound, neg_pnorm
 from entmono.linalg import ZERO_EIG_TOL
 from entmono.states import isotropic_pt_spectrum
+from entmono.tcm import coherent_state
 
 mpmath.mp.dps = 60
 
@@ -66,3 +69,19 @@ def test_neg_pnorm_on_diagonal_spectra(p, scale):
         w[0] = -scale * rng.uniform(0.1, 1.0)
         exact = _neg_pnorm_reference(w, p)
         assert abs((neg_pnorm(np.diag(w), p) - exact) / exact) <= 2e-15
+
+
+@pytest.mark.parametrize("nbar, bound", [(100.0, 1.5e-13), (1e4, 2.5e-11), (1e5, 3.5e-10)])
+def test_coherent_state_amplitudes(nbar, bound):
+    # exp(-alpha^2 / 2) alpha^n / sqrt(n!) on the exact binary alpha, at up to
+    # 200 indices spread over nbar +- 4 sqrt(nbar), which hold all but 6e-5 of
+    # the weight; the cutoff leaves out under 1e-14 of it, so renormalizing
+    # moves no amplitude by more than that. The lgamma exponent, of size
+    # nbar log nbar, sets the error: largest seen 6.6e-14, 1.2e-11 and 1.7e-10
+    alpha = math.sqrt(nbar)
+    amps = coherent_state(alpha, int(nbar + 8.0 * alpha + 8.0))
+    a = mpmath.mpf(alpha)
+    idx = np.unique(np.linspace(nbar - 4.0 * alpha, nbar + 4.0 * alpha, 200).astype(int))
+    for n in idx:
+        exact = mpmath.exp(n * mpmath.log(a) - a * a / 2 - mpmath.loggamma(n + 1) / 2)
+        assert abs((amps[n] - exact) / exact) <= bound
