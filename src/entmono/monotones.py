@@ -51,6 +51,9 @@ def neg_pnorm(a, p: float = 2.0) -> float:
     """p-norm of the negative eigenvalues of a Hermitian matrix.
 
     Returns 0 for positive semidefinite input. Accepts any real ``p >= 1``.
+    Which orders give an entanglement monotone on the partial transpose is
+    stated in the module docstring: ``p = 1`` does, and a local channel can
+    raise every ``p > 1``.
     """
     return monotone_report(a, p).pnorm
 

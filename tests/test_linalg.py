@@ -436,21 +436,26 @@ class TestCholeskyPositivity:
             assert np.array_equal(rho.mat, mat)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Shapes of the ``np.linalg.eigvalsh`` calls made after it; it first
+    solves ``np.eye(1)``, so no raw matrix an earlier test left in the
+    ``hermitian_eigenvalues`` memory answers a later call."""
+    calls = []
+    solve = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return solve(a)
+
+    hermitian_eigenvalues(np.eye(1))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
 class TestOneEigensolvePerState:
     """Counts ``np.linalg.eigvalsh`` calls: none to build a valid state, one
     for all its state monotones together."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-        solve = np.linalg.eigvalsh
-
-        def counting(a):
-            calls.append(a.shape)
-            return solve(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        return calls
 
     def test_no_eigensolve_to_build_a_valid_state(self, solves):
         rng = np.random.default_rng(80)
@@ -488,19 +493,6 @@ class TestLastRawSpectrum:
     """``hermitian_eigenvalues`` remembers the spectrum of the last raw matrix
     it solved, keyed by content: a p-sweep on one matrix is one eigensolve,
     and any other bytes are solved again."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-        solve = np.linalg.eigvalsh
-
-        def counting(a):
-            calls.append(a.shape)
-            return solve(a)
-
-        hermitian_eigenvalues(np.eye(1))  # whatever an earlier test left is gone
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        return calls
 
     def test_p_sweep_on_one_matrix_is_one_eigensolve(self, solves):
         rho = isotropic_state(3, 0.7)
@@ -569,10 +561,14 @@ class TestLastRawSpectrum:
 
     def test_threads_sharing_the_memory_get_their_own_spectra(self):
         # more threads than cores, switching often, all cycling through the
-        # same few matrices out of step: a key ever paired with another
-        # matrix's spectrum would hand some call a wrong result
+        # same few matrices out of step, raw matrices and the partial
+        # transposes of states of the same size, each state also asked for
+        # its own spectrum afresh: a key ever paired with another matrix's
+        # spectrum would hand some call a wrong result
         rng = np.random.default_rng(93)
+        states = [random_density(rng, 6, 8) for _ in range(3)]
         mats = [random_hermitian(rng, 48) for _ in range(3)]
+        mats += [partial_transpose(rho) for rho in states]
         expect = [_eigvalsh_descending(a) for a in mats]
         wrong = []
 
@@ -581,6 +577,10 @@ class TestLastRawSpectrum:
                 j = (i + k) % len(mats)
                 if not np.array_equal(hermitian_eigenvalues(mats[j]), expect[j]):
                     wrong.append(j)
+                s = (i + 2 * k) % len(states)
+                fresh = DensityMatrix._from_psd(states[s].mat.copy(), states[s].dims)
+                if not np.array_equal(pt_spectrum(fresh), expect[3 + s]):
+                    wrong.append(3 + s)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -594,6 +594,83 @@ class TestLastRawSpectrum:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+class TestStateReadsRawSpectrum:
+    """``pt_spectrum`` takes over the spectrum ``hermitian_eigenvalues`` just
+    solved for the same partial-transpose bytes, and solves its own otherwise."""
+
+    DIMS = ((2, 2), (2, 3), (3, 3), (2, 5), (2, 8), (4, 4), (3, 6), (4, 5),
+            (3, 8), (5, 5), (4, 8), (6, 6), (5, 8), (7, 7), (4, 16), (8, 8))
+
+    def test_raw_sweep_then_state_monotones_is_one_eigensolve(self, solves):
+        rng = np.random.default_rng(100)
+        for d_a, d_b in self.DIMS:
+            rho = random_density(rng, d_a, d_b)
+            del solves[:]
+            for p in (1.0, 2.0, 3.0):
+                monotone_report(partial_transpose(rho), p)
+            negativity(rho), concurrence_lower_bound(rho), tangle_lower_bound(rho)
+            assert solves == [rho.mat.shape]
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6), st.booleans())
+    def test_taken_over_spectrum_is_bitwise_the_eigensolve(self, seed, d_a, d_b, full):
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, d_a, d_b, rank=None if full else 1)
+        hermitian_eigenvalues(partial_transpose(rho))
+        w = pt_spectrum(rho)
+        assert w is linalg._last_raw[1]  # taken over, not solved again
+        assert not w.flags.writeable
+        expect = _eigvalsh_descending(partial_transpose(rho))
+        assert w.dtype == expect.dtype and np.array_equal(w, expect)
+
+    def test_one_ulp_off_is_solved_again(self, solves):
+        rng = np.random.default_rng(101)
+        for d_a, d_b in ((2, 2), (3, 4), (8, 8)):
+            rho = random_density(rng, d_a, d_b)
+            near = partial_transpose(rho)
+            near[1, 1] = np.nextafter(near[1, 1].real, 1.0)
+            del solves[:]
+            hermitian_eigenvalues(near)
+            w = pt_spectrum(rho)
+            assert solves == [rho.mat.shape] * 2
+            assert np.array_equal(w, _eigvalsh_descending(partial_transpose(rho)))
+
+    def test_no_hash_in_cavity_run(self, monkeypatch):
+        calls = []
+        sha256 = linalg.hashlib.sha256
+
+        def counting(data):
+            calls.append(1)
+            return sha256(data)
+
+        hermitian_eigenvalues(np.eye(1))
+        monkeypatch.setattr(linalg.hashlib, "sha256", counting)
+        run_trace(TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 10.0, 8)))
+        assert calls == []
+        hermitian_eigenvalues(np.eye(2))  # the raw path hashes
+        assert len(calls) == 1
+
+    def test_state_the_raw_rule_rejects_keeps_its_monotones(self, solves):
+        # skew 0.5 HERM_TOL passes the state's rule at scale 1; the raw rule
+        # judges the same partial transpose at its own scale, |a|_max < 0.5
+        rng = np.random.default_rng(102)
+        mat = random_density(rng, 3, 3, rank=2).mat.copy()
+        mat[0, 4] += 0.5 * HERM_TOL
+        rho = DensityMatrix(mat, (3, 3))
+        assert np.abs(mat).max() < 0.5
+        with pytest.raises(NonHermitianError):
+            monotone_report(partial_transpose(rho), 2)
+        assert solves == []
+        neg = negativity(rho), concurrence_lower_bound(rho), tangle_lower_bound(rho)
+        assert solves == [(9, 9)]
+        w = _eigvalsh_descending(partial_transpose(rho))
+        assert np.array_equal(pt_spectrum(rho), w)
+        neg_w = -w[w < -linalg.zero_cutoff(w)]
+        assert neg_w.size and np.allclose(
+            neg, [neg_w.sum(), 2.0 * np.linalg.norm(neg_w), 4.0 * neg_w @ neg_w],
+            rtol=1e-14, atol=0)
 
 
 class TestValidatedOnce:

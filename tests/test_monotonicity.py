@@ -4,9 +4,9 @@ random states drawn by a derandomized Hypothesis search.
 Every ``neg_pnorm`` of the partial transpose is invariant under local
 unitaries, since ``(U x V) rho (U x V)^H`` has the partial transpose
 ``(U x V*) rho^T_B (U x V*)^H``. Only ``p = 1``, the negativity, is known not
-to increase under local channels (Vidal and Werner, PRA 65, 032314 (2002));
-``TestLocalChannels`` in ``test_monotones.py`` shows a channel that raises
-every ``p > 1``.
+to increase under local channels, nor on average under local instruments
+(Vidal and Werner, PRA 65, 032314 (2002)); ``TestLocalChannels`` in
+``test_monotones.py`` shows a channel that raises every ``p > 1``.
 
 On a pure state with Schmidt probabilities ``lambda`` the member is
 ``(sum_{i<j} (lambda_i lambda_j)^(p/2))^(1/p)``, and by Nielsen (PRL 83, 436
@@ -68,6 +68,33 @@ def test_negativity_does_not_increase_under_local_channels(dims, seed):
               for a in _kraus(rng, dims[0]) for b in _kraus(rng, dims[1])
               for k in [np.kron(a, b)])
     assert _pt_norm(out, dims, 1.0) <= neg_pnorm(partial_transpose(rho), 1.0) + 1e-12
+
+
+def _instrument(rng, d):
+    """Kraus operators of a random instrument on one party, grouped by
+    outcome: 2 or 3 outcomes of Kraus rank 1 or 2 each, the ``d x d`` blocks
+    of one isometry, so that all of them together satisfy ``sum K^H K = I``."""
+    ranks = rng.integers(1, 3, size=int(rng.integers(2, 4)))
+    blocks = _isometry(rng, int(ranks.sum()) * d, d).reshape(-1, d, d)
+    return np.split(blocks, np.cumsum(ranks)[:-1])
+
+
+@_settings
+@given(st.tuples(st.integers(2, 4), st.integers(2, 4)), _seeds, st.booleans())
+def test_negativity_does_not_increase_on_average_under_local_instruments(dims, seed, on_a):
+    # outcome i has probability q_i = tr(sigma_i), sigma_i = sum_k K rho K^H,
+    # and leaves sigma_i / q_i; the average sum_i q_i N(sigma_i / q_i) may
+    # not exceed N(rho) at p = 1
+    rng = np.random.default_rng(seed)
+    rho = _state(rng, dims)
+    eye = np.eye(dims[1] if on_a else dims[0])
+    average = 0.0
+    for kraus in _instrument(rng, dims[0] if on_a else dims[1]):
+        ops = [np.kron(k, eye) if on_a else np.kron(eye, k) for k in kraus]
+        sigma = sum(k @ rho.mat @ k.conj().T for k in ops)
+        q = np.trace(sigma).real
+        average += q * _pt_norm(sigma / q, dims, 1.0)
+    assert average <= neg_pnorm(partial_transpose(rho), 1.0) + 1e-12
 
 
 def _schmidt_pt_norm(rng, probs, p):

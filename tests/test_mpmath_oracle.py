@@ -71,13 +71,16 @@ def test_neg_pnorm_on_diagonal_spectra(p, scale):
         assert abs((neg_pnorm(np.diag(w), p) - exact) / exact) <= 2e-15
 
 
-@pytest.mark.parametrize("nbar, bound", [(100.0, 1.5e-13), (1e4, 2.5e-11), (1e5, 3.5e-10)])
+@pytest.mark.parametrize("nbar, bound", [(20.0, 1e-14), (100.0, 1e-14), (1e4, 7.5e-14),
+                                         (1e5, 2e-13)])
 def test_coherent_state_amplitudes(nbar, bound):
     # exp(-alpha^2 / 2) alpha^n / sqrt(n!) on the exact binary alpha, at up to
     # 200 indices spread over nbar +- 4 sqrt(nbar), which hold all but 6e-5 of
     # the weight; the cutoff leaves out under 1e-14 of it, so renormalizing
-    # moves no amplitude by more than that. The lgamma exponent, of size
-    # nbar log nbar, sets the error: largest seen 6.6e-14, 1.2e-11 and 1.7e-10
+    # moves no amplitude by more than that. Stirling's form leaves an error of
+    # about eps |n - nbar|, from log1p and from rounding alpha^2: largest seen
+    # 4.1e-15, 3.5e-14 and 9.7e-14 at nbar = 100, 1e4 and 1e5 (the lgamma form
+    # gave 6.6e-14, 1.2e-11 and 1.7e-10); nbar = 20 spans both forms, 4.6e-15
     alpha = math.sqrt(nbar)
     amps = coherent_state(alpha, int(nbar + 8.0 * alpha + 8.0))
     a = mpmath.mpf(alpha)
