@@ -21,13 +21,16 @@ records how it ended (:class:`Descent`). The concurrence objective
 has square-root kinks wherever a member becomes a product state, which is
 precisely where optimal ensembles like to sit; those are handled by
 graduated smoothing, replacing ``sqrt(t)`` with ``sqrt(t + eps^2) - eps``
-and shrinking ``eps`` toward zero between descent sweeps. Each restart is
-scored unsmoothed at the end, as the returned value is.
+and shrinking ``eps`` toward zero between descent sweeps.
 
-One trace identity scores every member, in the descent and in the final
-value alike: with ``G = M M^H`` of a member's amplitude matrix ``M``, its
-squared concurrence is ``2 ((tr G)^2 - tr G^2)``
-(:func:`~entmono.monotones._gram_terms`), so no member needs an eigensolve.
+One rule gives every reported number: each restart's final ensemble is
+built and scored once by :func:`average_objective`, unsmoothed, and the
+best is returned as scored. The descent scores members by the trace
+identity ``C^2 = 2 ((tr G)^2 - tr G^2)``, ``G = M M^H`` of a member's
+amplitude matrix (:func:`~entmono.monotones._gram_terms`), which cancels
+on near-product members; a reported concurrence takes the Cauchy-Binet
+sum over the minors of ``M`` (:func:`~entmono.monotones._minor_terms`)
+instead. No member needs an eigensolve.
 
 The restarts of one search descend together, as one stacked array: each
 round evaluates a trial isometry for every restart still running in one
@@ -47,7 +50,7 @@ import numpy as np
 
 from .linalg import (ISOMETRY_TOL, TRACE_TOL, DensityMatrix, PureState, _as_complex_array,
                      _is_integer, zero_cutoff)
-from .monotones import _gram_terms
+from .monotones import _gram_terms, _minor_terms
 
 # Convergence threshold on the Riemannian gradient norm of each descent.
 STEP_TOL = 1e-7
@@ -95,8 +98,8 @@ class Ensemble:
     ``probabilities``. The constructor takes and validates
     :class:`~entmono.linalg.PureState` members and weights that are positive
     and sum to 1 within ``TRACE_TOL``; ``_from_members`` trusts its caller
-    instead, as :meth:`DensityMatrix._from_psd` does. One trace identity
-    scores every member (:func:`average_objective`).
+    instead, as :meth:`DensityMatrix._from_psd` does.
+    :func:`average_objective` scores every member in one call.
     """
 
     def __init__(self, probabilities, states: list[PureState]):
@@ -186,11 +189,11 @@ class RoofResult:
     ``descents[i][k]`` records stage ``k`` of restart ``i``: one stage per
     smoothing level for the concurrence, one for the tangle. Restarts run
     batched, but each value and record is bitwise what the restart gives
-    alone. ``value`` scores every member of the returned ensemble by the
-    descent's trace identity. ``restart_values`` are the unsmoothed averages
-    of the restarts' final ensembles, for the concurrence scored exactly as
-    ``value`` is, which is their minimum. ``residual`` is the reconstruction
-    residual ``max |mixture - rho|`` of the returned ensemble.
+    alone. ``restart_values`` score each restart's final ensemble by
+    :func:`average_objective`; ``ensemble`` is the first scoring their
+    minimum, returned as scored, so ``value == restart_values.min() ==
+    average_objective(ensemble, objective)`` bitwise. ``residual`` is the
+    reconstruction residual ``max |mixture - rho|`` of that ensemble.
     """
 
     value: float
@@ -264,10 +267,15 @@ def _ensemble(u: np.ndarray, s: np.ndarray, dims) -> Ensemble:
 
 def average_objective(ensemble: Ensemble, objective: str = "concurrence") -> float:
     """Probability-weighted average of the pure-state concurrence or tangle,
-    every member scored in one call by the descent's trace identity."""
+    every member scored in one call as ``pure_concurrence`` or ``pure_tangle``
+    scores it: the concurrence by the Cauchy-Binet sum, accurate to rounding
+    where the descent's trace identity misses by up to about 1e-8, the
+    tangle by that identity, which has no square root to amplify its error."""
     _check_objective(objective)
-    t = _gram_terms(ensemble.vectors.reshape(-1, *ensemble.dims))[2]
-    return float(ensemble.probabilities @ (np.sqrt(t) if objective == "concurrence" else t))
+    mats = ensemble.vectors.reshape(-1, *ensemble.dims)
+    if objective == "concurrence":
+        return float(ensemble.probabilities @ np.sqrt(_minor_terms(mats)))
+    return float(ensemble.probabilities @ _gram_terms(mats)[2])
 
 
 def _value_and_grad(u, s, sh, d_a, d_b, objective, eps):
@@ -345,8 +353,8 @@ def _descend(u, s, sh, d_a, d_b, objective, eps, max_iters):
     in one call, and forms the directions of the rows that moved by stacked
     matmuls on real views. Every decision is taken per row on scalars, so
     each row follows the trajectory it would follow alone.
-    Returns the values, the isometries and one :class:`Descent` record per
-    row.
+    Returns the isometries and one :class:`Descent` record per row; the
+    smoothed values stay inside the descent.
     """
     n = len(u)
     mem = _MEMORY[objective]
@@ -450,37 +458,21 @@ def _descend(u, s, sh, d_a, d_b, objective, eps, max_iters):
                 if mem:
                     p[rows] = c_p
         live = [i for i in live if records[i] is None]
-    return values, u, records
-
-
-def _refine(u, s, d_a, d_b, objective, max_iters):
-    """Every smoothing stage on the stack ``u`` of isometries, ``(B, m, r)``,
-    which is overwritten.
-
-    All rows finish a stage before the next starts. Returns the last stage's
-    values, which for the concurrence are smoothed, the final isometries
-    and, per row, the tuple of stage records.
-    """
-    sh = s.conj().T
-    stages = []
-    for eps in _EPS_STAGES if objective == "concurrence" else (0.0,):
-        values, u, records = _descend(u, s, sh, d_a, d_b, objective, eps, max_iters)
-        stages.append(records)
-    return values, u, list(zip(*stages))
+    return u, records
 
 
 def minimize_roof(rho: DensityMatrix, cfg: RoofConfig | None = None) -> RoofResult:
     """Search the ensemble decompositions of ``rho`` for a minimal average.
 
     Returns the smallest probability-weighted average of the pure-state
-    objective found over all restarts, as a :class:`RoofResult`. The value
-    is the exact average of the returned ensemble, scored by
-    :func:`average_objective` with the descent's own trace identity, so it
-    is an upper bound on the convex roof by construction, independent of
-    optimizer quality. Identical configurations
-    produce bit-identical results: restarts draw from sub-seeds spawned from
-    ``cfg.seed`` and the reduction runs in restart order, keeping the first
-    strict minimum. The restarts descend as one batch (or, for large states,
+    objective found over all restarts, as a :class:`RoofResult`. Each
+    restart's final ensemble is built and scored once by
+    :func:`average_objective`; the first strict minimum in restart order is
+    returned as scored, the average of a concrete decomposition and so an
+    upper bound on the convex roof by construction, independent of
+    optimizer quality. Identical configurations produce bit-identical
+    results: restarts draw from sub-seeds spawned from ``cfg.seed``.
+    The restarts descend as one batch (or, for large states,
     in groups bounded by ``_GROUP_ELEMENTS``), and each is bitwise what it
     would be alone, so the first ``k`` restarts do not depend on
     ``cfg.restarts`` or on the grouping.
@@ -497,25 +489,24 @@ def minimize_roof(rho: DensityMatrix, cfg: RoofConfig | None = None) -> RoofResu
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     group = max(1, _GROUP_ELEMENTS // (m * s.shape[1]))
-    best_u = None
-    best_val = np.inf
+    sh = s.conj().T
+    value, ensemble = np.inf, None
     restart_values, descents = [], []
     for lo in range(0, cfg.restarts, group):
-        starts = [random_isometry(m, r, np.random.default_rng(c)) for c in children[lo:lo + group]]
-        values, finals, records = _refine(np.stack(starts), s, d_a, d_b, cfg.objective,
-                                          cfg.max_iters)
-        if cfg.objective == "concurrence":
-            # the last stage's values are smoothed, up to m * eps below the
-            # true averages; score each restart as the returned value is
-            values = [average_objective(_ensemble(u, s, rho.dims)) for u in finals]
-        for val, u in zip(values, finals):
-            if val < best_val:
-                best_val, best_u = val, u
-        restart_values += values
-        descents += records
+        u = np.stack([random_isometry(m, r, np.random.default_rng(c))
+                      for c in children[lo:lo + group]])
+        stages = []
+        for eps in _EPS_STAGES if cfg.objective == "concurrence" else (0.0,):
+            u, records = _descend(u, s, sh, d_a, d_b, cfg.objective, eps, cfg.max_iters)
+            stages.append(records)
+        descents += zip(*stages)
+        for final in u:
+            ens = _ensemble(final, s, rho.dims)
+            val = average_objective(ens, cfg.objective)
+            restart_values.append(val)
+            if val < value:
+                value, ensemble = val, ens
 
-    ensemble = _ensemble(best_u, s, rho.dims)
-    value = average_objective(ensemble, cfg.objective)
     restart_values = np.array(restart_values)
     restart_values.flags.writeable = False
     residual = float(np.abs(ensemble.mixture() - rho.mat).max())

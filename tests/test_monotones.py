@@ -200,7 +200,8 @@ class TestPureStateMeasures:
         assert abs(pure_tangle(psi) - 4.0 / 3.0) < 1e-12
 
     def test_fourth_power_identity_matches_double_sum(self):
-        # the trace identity of pure_concurrence against the Schmidt double sum
+        # pure_concurrence's Cauchy-Binet sum and pure_tangle's trace identity
+        # against the Schmidt double sum
         rng = np.random.default_rng(7)
         for _ in range(100):
             d_a, d_b = int(rng.integers(2, 5)), int(rng.integers(2, 6))
@@ -210,6 +211,7 @@ class TestPureStateMeasures:
                 c2[i] * c2[j] for i in range(c2.size) for j in range(i + 1, c2.size)
             )
             assert abs(pure_concurrence(psi) - 2.0 * np.sqrt(double)) < 1e-12
+            assert abs(pure_tangle(psi) - 4.0 * double) < 1e-12
 
     def test_range_bound(self):
         rng = np.random.default_rng(8)
@@ -241,15 +243,20 @@ class TestLocalChannels:
         v[j] = v[4 + k] = 1.0 / np.sqrt(2.0)
         return np.outer(v, v)
 
-    def _counterexample(self):
-        rho = DensityMatrix(0.5 * self._phi(0, 1) + 0.5 * self._phi(2, 3), (2, 4))
+    @staticmethod
+    def _kraus():
+        # on the second party: keep |0>, |1>, or move |2>, |3> onto them
         k1 = np.zeros((4, 4))
         k1[0, 0] = k1[1, 1] = 1.0
         k2 = np.zeros((4, 4))
         k2[0, 2] = k2[1, 3] = 1.0
         kraus = [np.kron(np.eye(2), k) for k in (k1, k2)]
         assert np.allclose(sum(k.T @ k for k in kraus), np.eye(8))  # trace preserving
-        out = DensityMatrix(sum(k @ rho.mat @ k.T for k in kraus), (2, 4))
+        return kraus
+
+    def _counterexample(self):
+        rho = DensityMatrix(0.5 * self._phi(0, 1) + 0.5 * self._phi(2, 3), (2, 4))
+        out = DensityMatrix(sum(k @ rho.mat @ k.T for k in self._kraus()), (2, 4))
         return rho, out
 
     def test_channel_maps_the_mixture_to_a_bell_state(self):
@@ -272,3 +279,20 @@ class TestLocalChannels:
         rho, out = self._counterexample()
         assert abs(concurrence_lower_bound(rho) - np.sqrt(0.5)) < 1e-14
         assert abs(concurrence_lower_bound(out) - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("p, rise", [(1.0, 0.0), (1.5, 0.103), (2.0, 0.146), (3.0, 0.185)])
+    def test_instrument_raises_the_average_above_p_one(self, p, rise):
+        # the same Kraus pair read as a two-outcome local instrument: each
+        # outcome has probability 1/2 and leaves |Phi01>, so the average after
+        # is 1/2, against 2^(1/p) / 4 before; equal at p = 1 only
+        rho, _ = self._counterexample()
+        average = 0.0
+        for k in self._kraus():
+            sigma = k @ rho.mat @ k.T
+            q = np.trace(sigma).real
+            assert abs(q - 0.5) < 1e-15 and np.allclose(sigma / q, self._phi(0, 1))
+            average += q * neg_pnorm(partial_transpose(DensityMatrix(sigma / q, (2, 4))), p)
+        before = neg_pnorm(partial_transpose(rho), p)
+        assert abs(average - 0.5) < 1e-14
+        assert abs(average - before - (0.5 - 2.0 ** (1.0 / p) / 4.0)) < 1e-14
+        assert round(average - before, 3) == rise

@@ -6,7 +6,10 @@ unitaries, since ``(U x V) rho (U x V)^H`` has the partial transpose
 ``(U x V*) rho^T_B (U x V*)^H``. Only ``p = 1``, the negativity, is known not
 to increase under local channels, nor on average under local instruments
 (Vidal and Werner, PRA 65, 032314 (2002)); ``TestLocalChannels`` in
-``test_monotones.py`` shows a channel that raises every ``p > 1``.
+``test_monotones.py`` shows a channel that raises every ``p > 1``, and its
+``test_instrument_raises_the_average_above_p_one`` reads the channel's two
+Kraus operators as a local instrument whose average raises every ``p > 1``
+too. The random-instrument test below checks ``p = 1`` only.
 
 On a pure state with Schmidt probabilities ``lambda`` the member is
 ``(sum_{i<j} (lambda_i lambda_j)^(p/2))^(1/p)``, and by Nielsen (PRL 83, 436
