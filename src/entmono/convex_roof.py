@@ -24,13 +24,15 @@ graduated smoothing, replacing ``sqrt(t)`` with ``sqrt(t + eps^2) - eps``
 and shrinking ``eps`` toward zero between descent sweeps.
 
 One rule gives every reported number: each restart's final ensemble is
-built and scored once by :func:`average_objective`, unsmoothed, and the
-best is returned as scored. The descent scores members by the trace
-identity ``C^2 = 2 ((tr G)^2 - tr G^2)``, ``G = M M^H`` of a member's
-amplitude matrix (:func:`~entmono.monotones._gram_terms`), which cancels
-on near-product members; a reported concurrence takes the Cauchy-Binet
-sum over the minors of ``M`` (:func:`~entmono.monotones._minor_terms`)
-instead. No member needs an eigensolve.
+built and scored once by :func:`average_objective`, unsmoothed, from the
+Schmidt coefficients of its members, as
+:func:`~entmono.monotones.pure_concurrence` and
+:func:`~entmono.monotones.pure_tangle` score one state, and the best is
+returned as scored. The descent alone steers by a surrogate, the trace
+identity ``C^2 = 2 ((tr G)^2 - tr G^2)`` with ``G = M M^H`` of a member's
+amplitude matrix ``M`` (:func:`_value_and_grad`): it has an analytic
+gradient and needs no decomposition, but cancels on near-product members,
+so no reported value is read from it.
 
 The restarts of one search descend together, as one stacked array: each
 round evaluates a trial isometry for every restart still running in one
@@ -49,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (ISOMETRY_TOL, TRACE_TOL, DensityMatrix, PureState, _as_complex_array,
-                     _is_integer, zero_cutoff)
-from .monotones import _gram_terms, _minor_terms
+                     _is_integer, _singular_values, zero_cutoff)
+from .monotones import _schmidt_tangle
 
 # Convergence threshold on the Riemannian gradient norm of each descent.
 STEP_TOL = 1e-7
@@ -266,16 +268,16 @@ def _ensemble(u: np.ndarray, s: np.ndarray, dims) -> Ensemble:
 
 
 def average_objective(ensemble: Ensemble, objective: str = "concurrence") -> float:
-    """Probability-weighted average of the pure-state concurrence or tangle,
-    every member scored in one call as ``pure_concurrence`` or ``pure_tangle``
-    scores it: the concurrence by the Cauchy-Binet sum, accurate to rounding
-    where the descent's trace identity misses by up to about 1e-8, the
-    tangle by that identity, which has no square root to amplify its error."""
-    _check_objective(objective)
-    mats = ensemble.vectors.reshape(-1, *ensemble.dims)
-    if objective == "concurrence":
-        return float(ensemble.probabilities @ np.sqrt(_minor_terms(mats)))
-    return float(ensemble.probabilities @ _gram_terms(mats)[2])
+    """Probability-weighted average of the pure-state concurrence or tangle.
+
+    One singular-value call on the stacked amplitude matrices gives every
+    member's Schmidt coefficients, and each member is scored from them as
+    :func:`~entmono.monotones.pure_concurrence` or
+    :func:`~entmono.monotones.pure_tangle` scores it, accurate to rounding
+    also on near-product members."""
+    concurrence = _check_objective(objective) == "concurrence"
+    t = _schmidt_tangle(_singular_values(ensemble.vectors.reshape(-1, *ensemble.dims)))
+    return float(ensemble.probabilities @ (np.sqrt(t) if concurrence else t))
 
 
 def _value_and_grad(u, s, sh, d_a, d_b, objective, eps):
@@ -285,17 +287,21 @@ def _value_and_grad(u, s, sh, d_a, d_b, objective, eps):
     ``s.conj().T``. Returns the ``B`` values as floats and a function that
     computes the gradients, a ``(B, m, r)`` array, so that a rejected trial
     costs only its values. Per member, with ``G = M M^H`` of the
-    unnormalized amplitude matrix ``M``, the weighted concurrence is
-    ``sqrt(2 ((tr G)^2 - tr G^2))`` and the weighted tangle is that quantity
-    squared over the weight; both need only the traces of
-    :func:`~entmono.monotones._gram_terms`, no per-member eigensolve. Each
-    row is computed by the same operations as a stack of one, so its result
-    does not depend on the rest of the stack.
+    unnormalized amplitude matrix ``M`` and its trace ``p``, the weight, the
+    trace identity ``t = 2 ((tr G)^2 - tr G^2)``, clamped at zero, is ``p^2``
+    times the squared concurrence: the weighted concurrence is ``sqrt(t)``
+    and the weighted tangle ``t / p``, with no per-member decomposition.
+    This surrogate cancels on near-product members and only steers the
+    descent; :func:`average_objective` scores what is reported. Each row is
+    computed by the same operations as a stack of one, so its result does
+    not depend on the rest of the stack.
     """
     b, m = u.shape[:2]
     psis = (u @ s).reshape(b * m, -1)
     mats = psis.reshape(b * m, d_a, d_b)
-    g, p, t = _gram_terms(mats)
+    g = mats @ mats.conj().transpose(0, 2, 1)
+    p = np.einsum("ikk->i", g).real
+    t = 2.0 * np.maximum(p * p - np.einsum("ijk,ikj->i", g, g).real, 0.0)
     if objective == "concurrence":
         root = np.sqrt(t + eps * eps)
         values = root.reshape(b, m).sum(axis=1) - m * eps

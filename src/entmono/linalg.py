@@ -312,19 +312,21 @@ def pt_spectrum(rho: DensityMatrix) -> np.ndarray:
     return w
 
 
-def schmidt_coefficients(psi: PureState) -> np.ndarray:
-    """Schmidt coefficients of a bipartite pure state, descending.
+def _singular_values(mats: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix or a stack of matrices, descending along
+    the last axis."""
+    try:
+        return np.linalg.svd(mats, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular value solver failed: {exc}") from exc
 
-    Computed as square roots of the eigenvalues of the reduced density
-    matrix of the smaller subsystem (tiny negative round-off is clamped to
-    zero). Returns ``min(d_a, d_b)`` non-negative values whose squares sum
-    to one.
-    """
-    d_a, d_b = psi.dims
-    m = psi.vec.reshape(d_a, d_b)
-    g = m @ m.conj().T if d_a <= d_b else m.T @ m.conj()
-    w = _eigvalsh_descending(g)
-    return np.sqrt(np.clip(w, 0.0, None))
+
+def schmidt_coefficients(psi: PureState) -> np.ndarray:
+    """Schmidt coefficients of a bipartite pure state, descending: the
+    ``min(d_a, d_b)`` singular values of its ``d_a x d_b`` amplitude matrix,
+    non-negative, their squares summing to one. Every pure-state value the
+    library reports is computed from these values."""
+    return _singular_values(psi.vec.reshape(psi.dims))
 
 
 def max_entangled_vector(d: int) -> np.ndarray:

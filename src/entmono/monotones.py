@@ -17,6 +17,12 @@ the I-tangle), agreeing with the pure-state concurrence exactly on pure
 inputs. Every monotone
 evaluates a spectrum with :func:`_spectrum_report`; the state monotones read
 theirs from :func:`~entmono.linalg.pt_spectrum`.
+
+The pure-state concurrence and tangle have one core too: the Schmidt
+coefficients of :func:`~entmono.linalg.schmidt_coefficients`, the singular
+values of the amplitude matrix, summed by :func:`_schmidt_tangle`. The
+convex-roof scores of :func:`~entmono.convex_roof.average_objective` use the
+same two steps on every member at once.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .linalg import (
     _check_order,
     hermitian_eigenvalues,
     pt_spectrum,
+    schmidt_coefficients,
     zero_cutoff,
 )
 
@@ -127,55 +134,28 @@ def tangle_lower_bound(rho: DensityMatrix) -> float:
     return concurrence_lower_bound(rho) ** 2
 
 
-def _gram_terms(mats: np.ndarray):
-    """Trace terms of a ``(k, d_a, d_b)`` stack of amplitude matrices ``M``.
+def _schmidt_tangle(s: np.ndarray) -> np.ndarray:
+    """``t = 4 sum_{i<j} s_i^2 s_j^2`` of Schmidt coefficients ``s`` along the
+    last axis, the squared pure-state concurrence.
 
-    Returns ``G = M M^H``, its trace ``p`` (the squared norm) and
-    ``t = 2 ((tr G)^2 - tr G^2)``, clamped at zero. In Schmidt coefficients
-    ``c_i`` of the normalized member, ``t = p^2 C^2`` with
-    ``C^2 = 4 sum_{i<j} c_i^2 c_j^2`` the squared concurrence, so every
-    pure-state concurrence needs traces only, no eigensolve. Each member is
-    computed by the same operations as a stack of one.
+    Summed as products of non-negative terms, ``s_j^2`` times the prefix sum
+    of ``s_i^2`` before it, with no subtraction, so a near-product state
+    keeps its relative accuracy where ``(sum s^2)^2 - sum s^4`` cancels.
     """
-    g = mats @ mats.conj().transpose(0, 2, 1)
-    p = np.einsum("ikk->i", g).real
-    fro2 = np.einsum("ijk,ikj->i", g, g).real
-    return g, p, 2.0 * np.maximum(p * p - fro2, 0.0)
-
-
-def _minor_terms(mats: np.ndarray) -> np.ndarray:
-    """``t = p^2 C^2`` of a ``(k, d_a, d_b)`` stack of amplitude matrices ``M``
-    by Cauchy-Binet, without the cancellation of :func:`_gram_terms`.
-
-    ``p^2 C^2 = 4 sum_{i<j, k<l} |M_ik M_jl - M_il M_jk|^2`` over the ``2 x 2``
-    minors, with the row pairs taken on the smaller side. No subtraction
-    between terms, so a near-product member keeps a concurrence accurate to
-    rounding where the trace form loses half the digits.
-    """
-    if mats.shape[1] > mats.shape[2]:
-        mats = mats.transpose(0, 2, 1)
-    i, j = np.triu_indices(mats.shape[1], 1)
-    k, l = np.triu_indices(mats.shape[2], 1)
-    a, b = mats[:, i], mats[:, j]
-    minors = (a[:, :, k] * b[:, :, l] - a[:, :, l] * b[:, :, k]).reshape(len(mats), -1)
-    return 4.0 * np.einsum("ij,ij->i", minors, minors.conj()).real
+    s2 = s * s
+    return 4.0 * (s2[..., 1:] * s2.cumsum(-1)[..., :-1]).sum(-1)
 
 
 def pure_concurrence(psi: PureState) -> float:
     """Concurrence ``2 * sqrt(sum_{i<j} c_i^2 c_j^2)`` of a bipartite pure
-    state with Schmidt coefficients ``c_i``.
-
-    Evaluated by the Cauchy-Binet sum of :func:`_minor_terms`, accurate to
-    rounding also near product states, the score every reported ensemble
-    average uses too (:func:`~entmono.convex_roof.average_objective`); no
-    eigensolve. Ranges from 0 on product states to ``sqrt(2 (d - 1) / d)``
-    for ``d = min(d_a, d_b)``.
+    state with Schmidt coefficients ``c_i``, from
+    :func:`~entmono.linalg.schmidt_coefficients`. Ranges from 0 on product
+    states to ``sqrt(2 (d - 1) / d)`` for ``d = min(d_a, d_b)``.
     """
-    return float(np.sqrt(_minor_terms(psi.vec.reshape(1, *psi.dims))[0]))
+    return float(np.sqrt(_schmidt_tangle(schmidt_coefficients(psi))))
 
 
 def pure_tangle(psi: PureState) -> float:
-    """Squared concurrence of a bipartite pure state, by the trace identity
-    of :func:`_gram_terms`: with no square root to take, its error stays at
-    rounding level."""
-    return float(_gram_terms(psi.vec.reshape(1, *psi.dims))[2][0])
+    """Squared concurrence ``4 sum_{i<j} c_i^2 c_j^2`` of a bipartite pure
+    state, from the same Schmidt coefficients as :func:`pure_concurrence`."""
+    return float(_schmidt_tangle(schmidt_coefficients(psi)))

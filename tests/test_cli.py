@@ -60,6 +60,22 @@ class TestSingleValueCommands:
         assert code == 2
         assert "pure" in err
 
+    def test_pure_near_product_coefficients_match_concurrence(self, capsys, tmp_path):
+        # sqrt(1 - delta^2) |00> + 1e-9 |11> under random local unitaries: the
+        # printed Schmidt coefficients and concurrence come from one core
+        rng = np.random.default_rng(5)
+        core = np.zeros((2, 3), complex)
+        core[0, 0], core[1, 1] = np.sqrt(1.0 - 1e-18), 1e-9
+        a, b = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+                for d in (2, 3))
+        path = tmp_path / "near_product.json"
+        save_state(path, PureState((a @ core @ b.T).reshape(-1), (2, 3)))
+        code, out, _ = run(capsys, "pure", "--input", str(path))
+        assert code == 0
+        coeffs, conc, _ = out.strip().split("\n")[1].split(",")
+        c1, c2 = (float(c) for c in coeffs.split(";"))
+        assert abs(2.0 * c1 * c2 - float(conc)) <= 1e-15
+
 
 class TestMonotone:
     def test_csv_output(self, capsys, bell_file):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_density, random_pure
@@ -149,8 +151,9 @@ class TestAverageObjective:
         with pytest.raises(ValueError, match="objective"):
             average_objective(Ensemble([1.0], [BELL]), "entropy")
 
-    def test_one_trace_evaluator_and_no_eigensolve(self, monkeypatch):
-        # one evaluator per objective, shared with pure_concurrence and pure_tangle
+    def test_one_schmidt_core_and_no_eigensolve(self, monkeypatch):
+        # both objectives read the Schmidt coefficients pure_concurrence and
+        # pure_tangle read, from singular values, with no eigensolve
         rng = np.random.default_rng(20)
         members = [random_pure(rng, 3, 4) for _ in range(3)]
         ens = Ensemble([0.2, 0.3, 0.5], members)
@@ -167,6 +170,24 @@ class TestAverageObjective:
             assert average_objective(ens, objective) == pytest.approx(value, rel=1e-15)
         for psi in members:
             assert pure_tangle(psi) == pytest.approx(pure_concurrence(psi) ** 2, rel=1e-15)
+
+    @pytest.mark.parametrize("members, d", [(1, 48), (260, 16)])
+    def test_scoring_peak_memory(self, members, d):
+        # singular values need O(d^2) memory per member; the 2 x 2 minors of
+        # the Cauchy-Binet sum took 83 MB for one 48 x 48 state and 256 MB
+        # for 260 members of 16 x 16, where the descent keeps within 1 MiB
+        rng = np.random.default_rng(24)
+        states = [random_pure(rng, d, d) for _ in range(members)]
+        ens = Ensemble(np.full(members, 1.0 / members), states)
+        tracemalloc.start()
+        try:
+            pure_concurrence(states[0])
+            average_objective(ens, "concurrence")
+            average_objective(ens, "tangle")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
 
 
 class TestMinimizeRoof:

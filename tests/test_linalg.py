@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from entmono import (
     DensityMatrix,
     DimensionMismatchError,
+    Ensemble,
     NonHermitianError,
     PureState,
     TcmConfig,
+    average_objective,
     concurrence_lower_bound,
     evolve,
     fidelity_max_entangled,
@@ -23,6 +25,7 @@ from entmono import (
     negativity,
     partial_transpose,
     pt_spectrum,
+    pure_concurrence,
     reduce_atom_field,
     run_trace,
     schmidt_coefficients,
@@ -374,7 +377,7 @@ def test_eigensolver_failure_is_a_convergence_error(monkeypatch):
     rng = np.random.default_rng(60)
     rho, psi = random_density(rng, 2, 3), random_pure(rng, 2, 3)
 
-    def fail(a):
+    def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def not_positive(a):  # sends the constructor on to the eigensolve
@@ -384,10 +387,13 @@ def test_eigensolver_failure_is_a_convergence_error(monkeypatch):
     # an earlier test can answer hermitian_eigenvalues below
     hermitian_eigenvalues(np.eye(1))
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
     monkeypatch.setattr(np.linalg, "cholesky", not_positive)
     calls = [
         lambda: DensityMatrix(rho.mat, rho.dims),
         lambda: schmidt_coefficients(psi),
+        lambda: pure_concurrence(psi),
+        lambda: average_objective(Ensemble([1.0], [psi])),
         lambda: hermitian_eigenvalues(rho.mat),
         lambda: pt_spectrum(rho),
     ]

@@ -17,7 +17,6 @@ from entmono import (
     partial_transpose,
     pure_concurrence,
     pure_tangle,
-    schmidt_coefficients,
     tangle_lower_bound,
 )
 from entmono.states import isotropic_state
@@ -200,13 +199,15 @@ class TestPureStateMeasures:
         assert abs(pure_tangle(psi) - 4.0 / 3.0) < 1e-12
 
     def test_fourth_power_identity_matches_double_sum(self):
-        # pure_concurrence's Cauchy-Binet sum and pure_tangle's trace identity
-        # against the Schmidt double sum
+        # pure_concurrence and pure_tangle, read from the singular values of
+        # the amplitude matrix, against the Schmidt double sum over the
+        # eigenvalues of the reduced density matrix, an independent path
         rng = np.random.default_rng(7)
         for _ in range(100):
             d_a, d_b = int(rng.integers(2, 5)), int(rng.integers(2, 6))
             psi = random_pure(rng, d_a, d_b)
-            c2 = schmidt_coefficients(psi) ** 2
+            m = psi.vec.reshape(d_a, d_b)
+            c2 = np.linalg.eigvalsh(m @ m.conj().T)
             double = sum(
                 c2[i] * c2[j] for i in range(c2.size) for j in range(i + 1, c2.size)
             )

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from entmono import (PureState, RoofConfig, isotropic_concurrence_bound,
-                     isotropic_state, minimize_roof, neg_pnorm, pure_concurrence)
+                     isotropic_state, minimize_roof, neg_pnorm, pure_concurrence, pure_tangle,
+                     schmidt_coefficients)
 from entmono.linalg import ZERO_EIG_TOL
 from entmono.states import isotropic_pt_spectrum
 from entmono.tcm import coherent_state
@@ -103,15 +104,23 @@ def _concurrence_reference(vec, dims):
 @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9, 1e-12, 0.0])
 @pytest.mark.parametrize("dims", [(2, 2), (2, 5), (3, 4), (4, 3)])
 def test_pure_concurrence_near_product_states(delta, dims):
-    # sqrt(1 - delta^2) |00> + delta |11> under random local unitaries: the
-    # trace form missed by up to 3.0e-8, the Cauchy-Binet sum by 5.2e-17
+    # sqrt(1 - delta^2) |00> + delta |11> under random local unitaries. The
+    # singular values of the amplitude matrix miss the Schmidt coefficients by
+    # up to 2.0e-16, and the concurrence and the root of the tangle read from
+    # them by 1.4e-16; the trace form missed by up to 3.0e-8, the square roots
+    # of the reduced density matrix's eigenvalues by 1.3e-8
     rng = np.random.default_rng(3)
     core = np.zeros(dims, complex)
     core[0, 0], core[1, 1] = math.sqrt(1.0 - delta**2), delta
     a, b = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
             for d in dims)
     psi = PureState((a @ core @ b.T).reshape(-1), dims)
-    assert abs(pure_concurrence(psi) - _concurrence_reference(psi.vec, dims)) <= 1e-15
+    exact = _concurrence_reference(psi.vec, dims)
+    assert abs(pure_concurrence(psi) - exact) <= 1e-15
+    assert abs(math.sqrt(pure_tangle(psi)) - exact) <= 1e-15
+    coeffs = mpmath.svd_c(mpmath.matrix(psi.vec.reshape(dims).tolist()), compute_uv=False)
+    for got, want in zip(schmidt_coefficients(psi), sorted(coeffs, reverse=True)):
+        assert abs(got - want) <= 1e-15
 
 
 def _ensemble_concurrence_reference(ens):
@@ -123,8 +132,9 @@ def _ensemble_concurrence_reference(ens):
 def test_roof_value_scores_its_own_ensemble(fidelity, seed):
     # criterion 06's search: near-product members cost the trace form up to
     # 6.8e-9, and at seeds 4 and 5 it put the value 1.2e-9 and 2.2e-9 below
-    # the exact I-concurrence, which here equals the bound; the Cauchy-Binet
-    # score is within 7.3e-17 of the reference
+    # the exact I-concurrence, which here equals the bound; the score from the
+    # members' singular values is within 7.3e-17 of the reference, as the
+    # Cauchy-Binet sum was
     res = minimize_roof(isotropic_state(3, fidelity),
                         RoofConfig(restarts=8, max_iters=1500, seed=seed))
     assert abs(res.value - _ensemble_concurrence_reference(res.ensemble)) <= 1e-15
