@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (ISOMETRY_TOL, TRACE_TOL, DensityMatrix, PureState, _as_complex_array,
-                     _is_integer, _singular_values, zero_cutoff)
+                     _is_integer, _solve, zero_cutoff)
 from .monotones import _schmidt_tangle
 
 # Convergence threshold on the Riemannian gradient norm of each descent.
@@ -207,7 +207,7 @@ class RoofResult:
 
 def _sqrt_members(rho: DensityMatrix) -> np.ndarray:
     """Rows ``sqrt(mu_j) e_j^T`` over the non-null eigenpairs of rho."""
-    w, v = np.linalg.eigh(rho.mat)
+    w, v = _solve(np.linalg.eigh, rho.mat)
     keep = w > zero_cutoff(w)
     return np.sqrt(w[keep])[:, None] * v[:, keep].T
 
@@ -226,7 +226,7 @@ def random_isometry(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _polar(z: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(z, full_matrices=False)
+    u, _, vh = _solve(np.linalg.svd, z, full_matrices=False)
     return u @ vh
 
 
@@ -276,7 +276,8 @@ def average_objective(ensemble: Ensemble, objective: str = "concurrence") -> flo
     :func:`~entmono.monotones.pure_tangle` scores it, accurate to rounding
     also on near-product members."""
     concurrence = _check_objective(objective) == "concurrence"
-    t = _schmidt_tangle(_singular_values(ensemble.vectors.reshape(-1, *ensemble.dims)))
+    s = _solve(np.linalg.svd, ensemble.vectors.reshape(-1, *ensemble.dims), compute_uv=False)
+    t = _schmidt_tangle(s)
     return float(ensemble.probabilities @ (np.sqrt(t) if concurrence else t))
 
 

@@ -11,6 +11,12 @@ constructor is proof of its validity and is not checked again. The library
 builds its own states from validated inputs in a form that is a state by
 construction, through ``DensityMatrix._from_psd``, which checks nothing.
 
+Solver failures have one rule and one owner: every ``np.linalg`` routine the
+library calls runs through the private ``_solve``, which raises LAPACK's
+``LinAlgError`` as :class:`ConvergenceError`, naming the routine. The one
+exception is the Cholesky factorisation in :class:`DensityMatrix`, where a
+``LinAlgError`` is not a failure but the verdict "not positive definite".
+
 Matrices are plain ``numpy`` arrays in row-major bipartite ordering: the
 composite index of row ``(i, j)`` is ``i * d_b + j`` with ``i`` labelling
 subsystem A and ``j`` labelling subsystem B.
@@ -65,7 +71,7 @@ class DimensionMismatchError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the underlying eigensolver fails to converge."""
+    """Raised when a LAPACK routine behind ``np.linalg`` fails to converge."""
 
 
 def _as_complex_array(a, name: str = "array") -> np.ndarray:
@@ -167,12 +173,17 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     return w.copy()
 
 
-def _eigvalsh_descending(a: np.ndarray) -> np.ndarray:
+def _solve(routine, *args, **kwargs):
+    """``routine(*args, **kwargs)`` for a ``np.linalg`` routine, its
+    ``LinAlgError`` raised as :class:`ConvergenceError`."""
     try:
-        w = np.linalg.eigvalsh(a)  # LAPACK, ascending
+        return routine(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    return w[::-1].copy()
+        raise ConvergenceError(f"{routine.__name__} failed: {exc}") from exc
+
+
+def _eigvalsh_descending(a: np.ndarray) -> np.ndarray:
+    return _solve(np.linalg.eigvalsh, a)[::-1].copy()  # LAPACK returns them ascending
 
 
 class DensityMatrix:
@@ -312,21 +323,12 @@ def pt_spectrum(rho: DensityMatrix) -> np.ndarray:
     return w
 
 
-def _singular_values(mats: np.ndarray) -> np.ndarray:
-    """Singular values of a matrix or a stack of matrices, descending along
-    the last axis."""
-    try:
-        return np.linalg.svd(mats, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular value solver failed: {exc}") from exc
-
-
 def schmidt_coefficients(psi: PureState) -> np.ndarray:
     """Schmidt coefficients of a bipartite pure state, descending: the
     ``min(d_a, d_b)`` singular values of its ``d_a x d_b`` amplitude matrix,
     non-negative, their squares summing to one. Every pure-state value the
     library reports is computed from these values."""
-    return _singular_values(psi.vec.reshape(psi.dims))
+    return _solve(np.linalg.svd, psi.vec.reshape(psi.dims), compute_uv=False)
 
 
 def max_entangled_vector(d: int) -> np.ndarray:

@@ -14,6 +14,7 @@ evaluated at any ``d`` without building the ``d^2 x d^2`` matrix.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +23,12 @@ from .linalg import DensityMatrix, PureState, _is_integer, max_entangled_vector
 
 
 def _check_d(d: int) -> int:
+    """``d`` as an int: an integer ``>= 2`` whose ``d (d + 1)``, the largest
+    product the closed forms turn into a float, is a finite float."""
     if not _is_integer(d) or d < 2:
         raise ValueError(f"isotropic dimension d must be an integer >= 2, got {d!r}")
+    if int(d) * (int(d) + 1) > sys.float_info.max:
+        raise ValueError("isotropic dimension d must be <= 1.34e154, so d (d + 1) is a float")
     return int(d)
 
 

@@ -28,6 +28,8 @@ The Fock cutoff ``n_max`` has one rule, on one fixed threshold
 that :func:`evolve` starts from must keep at least ``1 - TRUNCATION_TOL`` of
 the coherent state's weight. Block ``n`` reaches the Fock level ``n + 2``, so
 the evolution then never leaves the truncated space and is exactly unitary.
+:func:`coherent_state` alone applies the rule; :class:`TcmConfig` calls it
+once and keeps the amplitudes it returns for :func:`evolve`.
 The threshold is a constant of this module, not of :mod:`entmono.linalg`,
 because it concerns the cavity model rather than the input states.
 """
@@ -39,10 +41,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, _is_integer, zero_cutoff
+from .linalg import DensityMatrix, PureState, _is_integer, _solve, zero_cutoff
 from .monotones import tangle_lower_bound
 
 TRUNCATION_TOL = 1e-6
+_STIRLING_FROM = 20  # the first Fock index whose amplitude takes Stirling's form
 
 
 class TruncationError(RuntimeError):
@@ -50,59 +53,56 @@ class TruncationError(RuntimeError):
 
 
 def coherent_state(alpha: float, n_max: int) -> np.ndarray:
-    """Truncated coherent-state amplitudes, renormalized.
+    """Truncated coherent-state amplitudes ``c_0 .. c_n_max``, renormalized.
 
     Amplitudes ``c_n = exp(-alpha^2 / 2) alpha^n / sqrt(n!)`` are evaluated
     in log space, so neither ``n!`` overflows at large ``n`` nor
     ``exp(-alpha^2 / 2)`` underflows at large ``alpha``; ``alpha = 0`` gives
-    the vacuum exactly. Below ``n = 20`` the exponent is
-    ``n log(alpha) - alpha^2 / 2 - lgamma(n + 1) / 2``. Those three terms, of
-    size ``nbar log nbar``, cancel, so from ``n = 20`` on it is Stirling's
-    form ``2 log c_n = -x h - log(2 pi n) / 2 - S(n)`` with ``x = alpha^2``,
+    the vacuum exactly. Below ``n = 20``, and at every ``n`` when
+    ``alpha^2 < 1``, the exponent is ``n log(alpha) - alpha^2 / 2 -
+    lgamma(n + 1) / 2``. At large ``alpha`` those three terms, of size
+    ``nbar log nbar``, cancel, so from ``n = 20`` on it is Stirling's form
+    ``2 log c_n = -x h - log(2 pi n) / 2 - S(n)`` with ``x = alpha^2``,
     ``delta = (n - x) / x``, ``h = (1 + delta) log1p(delta) - delta`` and
     ``S(n) = 1/(12 n) - 1/(360 n^3) + 1/(1260 n^5) - 1/(1680 n^7)``, which
     leaves a relative error of about 1e-13 at ``nbar = 1e5`` (1.7e-10 by the
-    direct form). Raises :class:`TruncationError` when the truncated weight
-    falls below ``1 - TRUNCATION_TOL``.
+    direct form). Where ``x`` is so large that ``delta`` rounds to -1, ``h``
+    is its limit 1 and the amplitude underflows to 0.
+
+    This is the one owner of the cutoff rule: raises :class:`TruncationError`
+    unless the amplitudes keep at least ``1 - TRUNCATION_TOL`` of the
+    coherent state's weight, and ``ValueError`` for an ``alpha`` that is
+    negative or whose square is not finite.
     """
     alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    x = alpha * alpha
+    if not (math.isfinite(x) and alpha >= 0):
+        raise ValueError(f"alpha must be >= 0 with a finite square, got {alpha}")
     if not _is_integer(n_max) or n_max < 0:
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
-    amps, weight = _truncated_coherent(alpha, int(n_max))
-    if weight < 1.0 - TRUNCATION_TOL:
-        raise TruncationError(
-            f"coherent state with alpha={alpha} keeps only {weight:.8f} of its "
-            f"weight below n_max={n_max}"
-        )
-    return amps / np.sqrt(weight)
-
-
-_STIRLING_FROM = 20  # the first Fock index whose amplitude takes Stirling's form
-
-
-def _truncated_coherent(alpha: float, n_max: int) -> tuple[np.ndarray, float]:
-    """Amplitudes ``c_0 .. c_n_max`` of :func:`coherent_state` before
-    renormalization, and the weight ``sum c_n^2`` they keep, for a valid
-    ``alpha`` and ``n_max``."""
     n = np.arange(n_max + 1)
     if alpha == 0.0:
         amps = (n == 0).astype(np.float64)
     else:
-        x = alpha * alpha
-        small = n[:_STIRLING_FROM]
+        split = _STIRLING_FROM if x >= 1.0 else n.size  # nothing cancels; n / x may overflow
+        small = n[:split]
         log_fact = np.array([math.lgamma(k + 1.0) for k in small])
         half_log = np.empty(n.size)
-        half_log[:_STIRLING_FROM] = small * math.log(alpha) - 0.5 * x - 0.5 * log_fact
-        m = n[_STIRLING_FROM:].astype(np.float64)
+        half_log[:split] = small * math.log(alpha) - 0.5 * x - 0.5 * log_fact
+        m = n[split:].astype(np.float64)
         delta = (m - x) / x
-        h = (1.0 + delta) * np.log1p(delta) - delta
+        h = (1.0 + delta) * np.log1p(delta, out=np.zeros_like(delta), where=delta > -1) - delta
         s = (1.0 / (12.0 * m) - 1.0 / (360.0 * m**3)
              + 1.0 / (1260.0 * m**5) - 1.0 / (1680.0 * m**7))
-        half_log[_STIRLING_FROM:] = -0.5 * (x * h + 0.5 * np.log(2.0 * math.pi * m) + s)
+        half_log[split:] = -0.5 * (x * h + 0.5 * np.log(2.0 * math.pi * m) + s)
         amps = np.exp(half_log)
-    return amps, float(np.sum(amps * amps))
+    weight = float(np.sum(amps * amps))
+    if not weight >= 1.0 - TRUNCATION_TOL:
+        raise TruncationError(
+            f"the cut at n = {n_max} keeps only {weight:.8f} of the coherent state's "
+            f"weight for alpha={alpha}; need at least {1.0 - TRUNCATION_TOL:.8f}"
+        )
+    return amps / np.sqrt(weight)
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,12 @@ class TcmConfig:
     ``>= 0``. The cutoff has one rule: :func:`evolve` starts from the
     coherent amplitudes ``c_0 .. c_{n_max - 2}``, and they must keep at least
     ``1 - TRUNCATION_TOL`` of the coherent state's weight. So ``n_max >= 2``
-    always (``|e, e, 0>`` reaches ``|g, g, 2>``), and every accepted
-    configuration runs: :func:`evolve` and :func:`run_trace` raise nothing.
+    always (``|e, e, 0>`` reaches ``|g, g, 2>``). The rule is checked once,
+    by ``coherent_state(sqrt(nbar), n_max - 2)``, whose
+    :class:`TruncationError` is raised here as a ``ValueError`` naming
+    ``n_max``; the normalized amplitudes it returns are kept read-only on the
+    instance for :func:`evolve`. Every accepted configuration runs:
+    :func:`evolve` and :func:`run_trace` raise nothing.
     """
 
     nbar: float = 100.0
@@ -130,13 +134,13 @@ class TcmConfig:
         if self.n_max < 2:
             raise ValueError(f"n_max must be at least 2, since |e,e,0> reaches |g,g,2>; "
                              f"got {self.n_max}")
-        weight = _truncated_coherent(float(np.sqrt(self.nbar)), int(self.n_max) - 2)[1]
-        if weight < 1.0 - TRUNCATION_TOL:
-            raise ValueError(
-                f"n_max={self.n_max} is inadequate for nbar={self.nbar}: the cut at "
-                f"n_max - 2 keeps only {weight:.8f} of the coherent state's weight; "
-                f"need at least {1.0 - TRUNCATION_TOL:.8f}"
-            )
+        try:
+            amps = coherent_state(math.sqrt(self.nbar), self.n_max - 2)
+        except TruncationError as exc:
+            raise ValueError(f"n_max={self.n_max} is inadequate for nbar={self.nbar}: "
+                             f"{exc}") from None
+        amps.flags.writeable = False
+        object.__setattr__(self, "_amplitudes", amps)
         grid = np.asarray(self.t_grid, dtype=np.float64).reshape(-1)
         if grid.size == 0 or not np.all(np.isfinite(grid)) or grid[0] < 0:
             raise ValueError("t_grid must be non-empty, finite and non-negative")
@@ -158,11 +162,12 @@ def evolve(cfg: TcmConfig) -> np.ndarray:
     ``s = sin^2(Omega t / 2)`` the amplitudes are ``c_n (1 - 2 a^2 s / Omega^2)``,
     ``-i c_n a sin(Omega t) / Omega`` (split by ``1/sqrt(2)`` onto ``|eg>``
     and ``|ge>``) and ``-2 c_n a b s / Omega^2``. The coherent amplitudes
-    ``c_n`` stop at ``n_max - 2``, so no amplitude leaves the truncated space
-    and every row has unit norm to rounding.
+    ``c_n`` are those ``cfg`` kept when it checked its cutoff; they stop at
+    ``n_max - 2``, so no amplitude leaves the truncated space and every row
+    has unit norm to rounding.
     """
     fock = cfg.n_max + 1
-    c = coherent_state(np.sqrt(cfg.nbar), cfg.n_max - 2)
+    c = cfg._amplitudes
     a2 = 2.0 * np.arange(1.0, fock - 1)
     b2 = a2 + 2.0
     omega = np.sqrt(a2 + b2)
@@ -216,12 +221,14 @@ def run_trace(cfg: TcmConfig) -> TcmTrace:
     :func:`reduce_atom_field`, without that function's check of the total
     state: :func:`evolve` built it, with unit norm, from a configuration
     whose one cutoff rule guarantees that, so nothing here can raise a
-    truncation error. Partial transposes go one point at a time, as stacking
-    them needs O(nt n_max^2) memory.
+    truncation error. The batched 2 x 2 eigensolve goes through
+    :mod:`entmono.linalg`'s one solver rule, so a LAPACK failure is a
+    :class:`~entmono.linalg.ConvergenceError`. Partial transposes go one point
+    at a time, as stacking them needs O(nt n_max^2) memory.
     """
     states = evolve(cfg)
     branches = states.reshape(states.shape[0], 2, -1)
-    gram = np.linalg.eigvalsh(branches @ branches.conj().transpose(0, 2, 1))
+    gram = _solve(np.linalg.eigvalsh, branches @ branches.conj().transpose(0, 2, 1))
     rank = np.sum(gram > zero_cutoff(gram), axis=1)
     purity = np.sum(gram * gram, axis=1)
     dims = (2, cfg.n_max + 1)

@@ -149,6 +149,11 @@ class TestTcm:
         assert code == 2 and out == ""
         assert "nbar" in err
 
+    def test_nbar_beyond_the_cutoff_names_n_max(self, capsys):
+        code, out, err = run(capsys, "tcm", "--nbar", "1e300", "--steps", "3")
+        assert code == 2 and out == ""
+        assert "n_max=200 is inadequate" in err
+
 
 class TestRoof:
     def test_value_and_residual(self, capsys, tmp_path):
@@ -235,6 +240,11 @@ class TestErrorPaths:
     def test_small_dimension_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "isotropic", "--d", "1", "--steps", "2")
         assert code == 1
+
+    def test_dimension_beyond_the_float_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "isotropic", "--d", "1" + "0" * 199, "--steps", "2")
+        assert code == 1 and out == ""
+        assert "1.34e154" in err
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -13,13 +13,16 @@ from entmono import (
     Ensemble,
     NonHermitianError,
     PureState,
+    RoofConfig,
     TcmConfig,
     average_objective,
     concurrence_lower_bound,
+    ensemble_from_unitary,
     evolve,
     fidelity_max_entangled,
     hermitian_eigenvalues,
     isotropic_state,
+    minimize_roof,
     monotone_report,
     neg_pnorm,
     negativity,
@@ -386,7 +389,9 @@ def test_eigensolver_failure_is_a_convergence_error(monkeypatch):
     # solve another matrix first, so that no spectrum of rho.mat remembered by
     # an earlier test can answer hermitian_eigenvalues below
     hermitian_eigenvalues(np.eye(1))
+    cfg = TcmConfig(nbar=1.0, n_max=12, t_grid=np.array([0.0, 1.0]))
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     monkeypatch.setattr(np.linalg, "svd", fail)
     monkeypatch.setattr(np.linalg, "cholesky", not_positive)
     calls = [
@@ -396,6 +401,9 @@ def test_eigensolver_failure_is_a_convergence_error(monkeypatch):
         lambda: average_objective(Ensemble([1.0], [psi])),
         lambda: hermitian_eigenvalues(rho.mat),
         lambda: pt_spectrum(rho),
+        lambda: minimize_roof(rho, RoofConfig(restarts=1, max_iters=10)),
+        lambda: ensemble_from_unitary(rho, np.eye(6)),
+        lambda: run_trace(cfg),
     ]
     for call in calls:
         with pytest.raises(ConvergenceError, match="did not converge"):

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -145,6 +148,21 @@ class TestAnalyticBounds:
             assert abs(isotropic_concurrence_bound(10**4, f) - np.sqrt(2.0) * f) < 5e-3
             assert abs(isotropic_tangle_bound(10**4, f) - 2.0 * f * f) < 1e-2
         assert abs(isotropic_tangle_bound(1000, 0.5) - 0.5) < 0.01
+
+    def test_largest_dimension_is_finite_and_the_next_is_refused(self):
+        # the largest d with d (d + 1) <= float max, about 1.34e154
+        d = math.isqrt(int(sys.float_info.max))
+        assert d * (d + 1) <= sys.float_info.max < (d + 1) * (d + 2)
+        for f in (0.0, 1.0 / d, 0.5, 1.0):
+            values = [mixing_parameter(d, f), isotropic_concurrence_bound(d, f),
+                      isotropic_tangle_bound(d, f)]
+            values += [w for w, _ in isotropic_pt_spectrum(d, f)]
+            assert all(math.isfinite(v) for v in values)
+        assert abs(isotropic_concurrence_bound(d, 0.5) - np.sqrt(0.5)) < 1e-15
+        for build in (mixing_parameter, isotropic_pt_spectrum, isotropic_concurrence_bound,
+                      isotropic_tangle_bound):
+            with pytest.raises(ValueError, match="must be <= 1.34e154"):
+                build(d + 1, 0.5)
 
     def test_mixing_parameter_range(self):
         for d in (2, 5):

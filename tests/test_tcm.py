@@ -16,6 +16,7 @@ from entmono import (
     run_trace,
     tangle_lower_bound,
 )
+from entmono import tcm
 
 
 def excitation_expectation(state, n_max: int) -> float:
@@ -63,12 +64,26 @@ class TestCoherentState:
         with pytest.raises(TruncationError):
             coherent_state(10.0, 20)
 
+    def test_huge_alpha_keeps_no_weight(self):
+        # (n - alpha^2) / alpha^2 rounds to -1: the amplitudes underflow to 0
+        # and the weight 0 is refused, where a NaN weight would pass the rule
+        with pytest.raises(TruncationError, match="keeps only 0.00000000"):
+            coherent_state(1e150, 30)
+
+    @pytest.mark.parametrize("alpha", [1e-155, 1e-170])
+    def test_tiny_alpha_is_nearly_the_vacuum(self, alpha):
+        # alpha^2 is subnormal or 0, so n / alpha^2 would overflow in Stirling's form
+        amps = coherent_state(alpha, 30)
+        assert amps[0] == 1.0 and amps[1] == pytest.approx(alpha, rel=1e-14)
+        assert np.all(amps[20:] == 0.0)
+
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
             coherent_state(-1.0, 10)
 
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 1e200])
     def test_rejects_non_finite_alpha(self, alpha):
+        # 1e200 is finite, but its square, the mean photon number, is not
         with pytest.raises(ValueError, match="alpha"):
             coherent_state(alpha, 10)
 
@@ -118,6 +133,37 @@ class TestConfig:
     def test_rejects_non_increasing_grid(self):
         with pytest.raises(ValueError, match="increasing"):
             TcmConfig(nbar=0.0, n_max=5, t_grid=np.array([0.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("nbar", [4e17, 1e300])
+    def test_rejects_nbar_beyond_every_reachable_cutoff(self, nbar):
+        with pytest.raises(ValueError, match="n_max=200 is inadequate"):
+            TcmConfig(nbar=nbar, n_max=200)
+
+    def test_every_nbar_runs_or_names_its_cutoff(self):
+        # from subnormal to near the largest float, at one cutoff
+        for nbar in [0.0, 5e-324, 1.7976931348623157e308] + [10.0**k for k in range(-320, 309, 8)]:
+            try:
+                cfg = TcmConfig(nbar=nbar, n_max=60, t_grid=np.array([0.0, 3.0]))
+            except ValueError as exc:
+                assert str(exc).startswith("n_max=60 is inadequate for nbar="), exc
+                continue
+            assert np.abs(np.linalg.norm(evolve(cfg), axis=1) - 1.0).max() < 1e-12
+
+    def test_subnormal_nbar_runs(self):
+        cfg = TcmConfig(nbar=1e-310, n_max=30, t_grid=np.linspace(0.0, 5.0, 3))
+        trace = run_trace(cfg)
+        assert np.all(np.isfinite(trace.n2pt)) and np.all(np.isfinite(trace.purity))
+
+    def test_keeps_the_checked_amplitudes_for_evolve(self, monkeypatch):
+        cfg = TcmConfig(nbar=4.0, n_max=30, t_grid=np.array([0.0]))
+        assert np.array_equal(cfg._amplitudes, coherent_state(2.0, 28))
+        assert not cfg._amplitudes.flags.writeable
+
+        def forbidden(*args):
+            raise AssertionError("evolve checked the cutoff again")
+
+        monkeypatch.setattr(tcm, "coherent_state", forbidden)
+        assert np.array_equal(evolve(cfg)[0, 3 * 31:3 * 31 + 29], cfg._amplitudes)
 
     @pytest.mark.parametrize("nbar", [float("nan"), float("inf"), -1.0])
     def test_rejects_nbar_outside_finite_range(self, nbar):
