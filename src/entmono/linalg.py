@@ -11,6 +11,14 @@ constructor is proof of its validity and is not checked again. The library
 builds its own states from validated inputs in a form that is a state by
 construction, through ``DensityMatrix._from_psd``, which checks nothing.
 
+A state keeps what is computed from it. :func:`partial_transpose` builds
+the partial transpose once and keeps it on the state as one shared,
+read-only array (take a ``.copy()`` to edit it), and :func:`pt_spectrum`
+keeps its spectrum, so the state monotones and a p-sweep of
+``monotone_report(partial_transpose(rho), p)`` share one eigensolve in
+either order: :func:`hermitian_eigenvalues` recognises the kept array. Any
+other raw matrix is checked and solved on every call, with no memory.
+
 Solver failures have one rule and one owner: every ``np.linalg`` routine the
 library calls runs through the private ``_solve``, which raises LAPACK's
 ``LinAlgError`` as :class:`ConvergenceError`, naming the routine. The one
@@ -50,7 +58,7 @@ its real part, which is exactly the overlap with the Hermitian part of ``rho``.
 
 from __future__ import annotations
 
-import hashlib
+import weakref
 
 import numpy as np
 
@@ -76,7 +84,7 @@ class ConvergenceError(RuntimeError):
 
 def _as_complex_array(a, name: str = "array") -> np.ndarray:
     out = np.asarray(a, dtype=np.complex128)
-    if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -96,7 +104,7 @@ def _is_integer(x) -> bool:
 def _check_order(p) -> float:
     """The order ``p`` of the monotone family as a float: finite and ``>= 1``."""
     p = float(p)
-    if not np.isfinite(p) or p < 1.0:
+    if not 1.0 <= p < np.inf:  # false for nan
         raise ValueError(f"p must be a finite real number >= 1, got {p!r}")
     return p
 
@@ -136,15 +144,8 @@ def zero_cutoff(w: np.ndarray) -> np.ndarray:
     return ZERO_EIG_TOL * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
 
 
-# (key, read-only spectrum) of the last raw matrix solved; replaced whole by
-# one assignment, so a reader never sees a key with another matrix's spectrum
-_last_raw = (None, None)
-
-
-def _content_key(a: np.ndarray) -> tuple:
-    """Key of a C-contiguous ``complex128`` array: its shape and the SHA-256
-    of its bytes, the one key rule of the raw-matrix memory."""
-    return a.shape, hashlib.sha256(a).digest()
+# id of each kept partial transpose -> its state; an entry goes with its state
+_pt_owner = weakref.WeakValueDictionary()
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
@@ -153,24 +154,23 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     numeric sort). The rule is scale-free: ``c * a`` passes exactly when ``a``
     does, for every power of two ``c`` short of overflow and underflow.
 
-    The spectrum of the last matrix solved is remembered by content, its shape
-    and the SHA-256 of its ``complex128`` bytes, so a sweep over ``p`` on one
-    matrix makes one Hermiticity scan and one eigensolve. A repeat returns a
-    fresh copy, bitwise the first result; an array edited in place has other
-    bytes and is solved again. A matrix that fails validation is not kept.
-    :func:`pt_spectrum` reads this memory too, so a state whose partial
-    transpose was just solved here takes that spectrum over; this function
-    never reads the spectra kept on states."""
-    global _last_raw
-    a = np.ascontiguousarray(_as_square_matrix(a))
-    key = _content_key(a)
-    last_key, w = _last_raw
-    if key != last_key:
-        assert_hermitian(a, np.abs(a).max(initial=0.0))
-        w = _eigvalsh_descending(a)
-        w.flags.writeable = False
-        _last_raw = key, w
-    return w.copy()
+    A raw matrix is checked and solved on every call, with no memory: no
+    library, demo or benchmark caller sweeps ``p`` over one. The array
+    :func:`partial_transpose` keeps on a state is recognised, and its
+    spectrum is the state's one :func:`pt_spectrum`, returned as a fresh copy;
+    the raw Hermiticity rule is applied to it at its first use here and its
+    pass remembered on the state. So a p-sweep through ``monotone_report(
+    partial_transpose(rho), p)`` and ``rho``'s state monotones, in either
+    order, cost one eigensolve."""
+    rho = _pt_owner.get(id(a))
+    if rho is not None and rho._pt is a:
+        if not rho._pt_raw_ok:
+            assert_hermitian(a, np.abs(a).max(initial=0.0))
+            rho._pt_raw_ok = True
+        return pt_spectrum(rho).copy()
+    a = _as_square_matrix(a)
+    assert_hermitian(a, np.abs(a).max(initial=0.0))
+    return _eigvalsh_descending(a)
 
 
 def _solve(routine, *args, **kwargs):
@@ -204,9 +204,11 @@ class DensityMatrix:
     read-only, the first time it is asked for, so every state monotone of one
     state shares one eigensolve. Two threads that race on the first call each
     compute the same read-only array, and one of them is kept.
+    :func:`partial_transpose` keeps the partial transpose itself, read-only,
+    once it is asked for, so such a state holds ``D^2`` more entries.
     """
 
-    _pt_spectrum = None
+    _pt = _pt_spectrum = _pt_raw_ok = None  # unset until first asked for
 
     def __init__(self, mat, dims):
         mat = _as_square_matrix(mat, "density matrix")
@@ -285,12 +287,25 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     ``rho.mat[(i, l), (k, j)]``. The A-side partial transpose is the full
     transpose of this result, so it has the same spectrum and gives the same
     monotones. This involution preserves trace and Hermiticity but not
-    positivity, which is what the entanglement monotones probe, so the
-    result is a plain (writable) array.
+    positivity, which is what the entanglement monotones probe.
+
+    The result is built once and kept on ``rho``: every call returns that
+    same shared, read-only array (take a ``.copy()`` to edit it), so
+    :func:`hermitian_eigenvalues` recognises it and answers from the state's
+    one :func:`pt_spectrum`. Threads that race on the first call all get the
+    array that is kept.
     """
-    d_a, d_b = rho.dims
-    out = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1)
-    return np.ascontiguousarray(out).reshape(rho.mat.shape)
+    pt = rho._pt
+    if pt is None:
+        pt = rho.__dict__.setdefault("_pt", _transpose_b(rho))  # atomic: one array wins
+        pt.flags.writeable = False
+        _pt_owner[id(pt)] = rho
+    return pt
+
+
+def _transpose_b(rho: DensityMatrix) -> np.ndarray:
+    # axes (i, j, k, l) of shape dims * 2; reshaping the permuted axes copies them
+    return rho.mat.reshape(rho.dims * 2).transpose(0, 3, 2, 1).reshape(rho.mat.shape)
 
 
 def pt_spectrum(rho: DensityMatrix) -> np.ndarray:
@@ -300,25 +315,14 @@ def pt_spectrum(rho: DensityMatrix) -> np.ndarray:
     it keeps the validated state's trace and largest ``|a - a^H|`` entry
     exactly.
 
-    The two paths share one memory, in one direction. When the last raw
-    matrix :func:`hermitian_eigenvalues` solved has the shape of this partial
-    transpose and the same content key, its spectrum is taken over with no
-    eigensolve: the same bytes went to the same solver, so the result is
-    bitwise what solving here gives. A p-sweep through ``monotone_report(
-    partial_transpose(rho), p)`` followed by ``rho``'s state monotones thus
-    costs one eigensolve. A partial transpose is hashed only when the shapes
-    match, and this function never writes the memory, so a program that makes
-    no raw calls, such as :func:`entmono.tcm.run_trace`, hashes nothing. The
-    reverse order, state monotones first and then a raw sweep, is not served:
-    that would hash every state's partial transpose, 2 ms on a 35 ms solve at
-    D = 402, and no caller runs in that order."""
+    It solves the partial transpose kept on ``rho`` if there is one, and
+    otherwise a transient one that it neither keeps nor registers, so a
+    program that only asks for state monotones, such as
+    :func:`entmono.tcm.run_trace`, holds nothing extra per state."""
     w = rho._pt_spectrum
     if w is None:
-        pt = partial_transpose(rho)
-        last_key, w = _last_raw
-        if last_key is None or last_key[0] != pt.shape or _content_key(pt) != last_key:
-            w = _eigvalsh_descending(pt)
-            w.flags.writeable = False
+        w = _eigvalsh_descending(_transpose_b(rho) if rho._pt is None else rho._pt)
+        w.flags.writeable = False
         rho._pt_spectrum = w
     return w
 

@@ -32,13 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    ZERO_EIG_TOL,
     DensityMatrix,
     PureState,
     _check_order,
     hermitian_eigenvalues,
     pt_spectrum,
     schmidt_coefficients,
-    zero_cutoff,
 )
 
 
@@ -79,9 +79,10 @@ class MonotoneReport:
 def monotone_report(a, p: float = 2.0) -> MonotoneReport:
     """Negative-spectrum norms of a Hermitian matrix ``a`` for one order ``p``.
 
-    :func:`~entmono.linalg.hermitian_eigenvalues` remembers the last matrix
-    it solved by content, so calls for several ``p`` on one matrix, one after
-    another, share one validation and one eigensolve."""
+    A raw matrix is checked and solved on every call. The shared array
+    :func:`~entmono.linalg.partial_transpose` keeps on a state is answered
+    from that state's one :func:`~entmono.linalg.pt_spectrum`, so a sweep
+    over ``p`` on it, before or after the state monotones, is one eigensolve."""
     return _spectrum_report(hermitian_eigenvalues(a), _check_order(p))
 
 
@@ -90,27 +91,24 @@ def _spectrum_report(w: np.ndarray, p: float) -> MonotoneReport:
     ``p``: the state monotones fix it, :func:`monotone_report` and
     ``entmono monotone --p`` check it.
 
-    Applies the zero cutoff of :func:`negative_eigenvalues`. ``pnorm`` is
-    ``m * ||x / m||_p`` with ``m`` the largest negative magnitude: it neither
-    underflows at large ``p`` nor overflows at large magnitudes, though
-    ``power_sum = pnorm ** p`` can still leave the float range.
+    Applies the zero cutoff of :func:`negative_eigenvalues`; the spectral
+    radius is read from the ends of ``w``. ``pnorm`` is ``m * ||x / m||_p``
+    with ``m`` the largest negative magnitude: it neither underflows at large
+    ``p`` nor overflows at large magnitudes, though ``power_sum = pnorm ** p``
+    can still leave the float range, and is then ``inf``.
     """
-    neg = w[w < -zero_cutoff(w)]
+    neg = w[w < -ZERO_EIG_TOL * max(abs(w[0]), abs(w[-1]))] if w.size else w
     pnorm = psum = 0.0
     if neg.size:
-        mag = np.abs(neg)
-        m = mag.max()
-        scaled = float(np.sum((mag / m) ** p))
-        pnorm = float(m * scaled ** (1.0 / p))
-        with np.errstate(over="ignore", under="ignore"):
-            psum = float(m**p * scaled)
-    return MonotoneReport(
-        p=p,
-        pnorm=pnorm,
-        power_sum=psum,
-        negative_eigenvalues=neg,
-        neg_count=int(neg.size),
-    )
+        m = float(-neg[-1])
+        scaled = float(np.sum((-neg / m) ** p))
+        pnorm = m * scaled ** (1.0 / p)
+        try:
+            psum = m**p * scaled  # float ** float: libm pow, as math.pow
+        except OverflowError:
+            psum = np.inf
+    return MonotoneReport(p=p, pnorm=pnorm, power_sum=psum, negative_eigenvalues=neg,
+                          neg_count=neg.size)
 
 
 def negativity(rho: DensityMatrix) -> float:

@@ -37,6 +37,7 @@ because it concerns the cavity model rather than the input states.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,9 +73,10 @@ def coherent_state(alpha: float, n_max: int) -> np.ndarray:
     This is the one owner of the cutoff rule: raises :class:`TruncationError`
     unless the amplitudes keep at least ``1 - TRUNCATION_TOL`` of the
     coherent state's weight, and ``ValueError`` for an ``alpha`` that is
-    negative or whose square is not finite.
+    negative or whose square is not finite (an int beyond the float range
+    among them).
     """
-    alpha = float(alpha)
+    alpha = math.inf if abs(alpha) > sys.float_info.max else float(alpha)
     x = alpha * alpha
     if not (math.isfinite(x) and alpha >= 0):
         raise ValueError(f"alpha must be >= 0 with a finite square, got {alpha}")
@@ -127,7 +129,7 @@ class TcmConfig:
     t_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 50.0, 1000))
 
     def __post_init__(self):
-        if not math.isfinite(self.nbar) or self.nbar < 0:
+        if not 0 <= self.nbar <= sys.float_info.max:  # no float(): an int may exceed it
             raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
         if not _is_integer(self.n_max) or self.n_max < 0:
             raise ValueError(f"n_max must be a non-negative integer, got {self.n_max!r}")

@@ -1,5 +1,7 @@
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -452,9 +454,7 @@ class TestCholeskyPositivity:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Shapes of the ``np.linalg.eigvalsh`` calls made after it; it first
-    solves ``np.eye(1)``, so no raw matrix an earlier test left in the
-    ``hermitian_eigenvalues`` memory answers a later call."""
+    """Shapes of the ``np.linalg.eigvalsh`` calls made after it."""
     calls = []
     solve = np.linalg.eigvalsh
 
@@ -462,7 +462,6 @@ def solves(monkeypatch):
         calls.append(a.shape)
         return solve(a)
 
-    hermitian_eigenvalues(np.eye(1))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     return calls
 
@@ -504,9 +503,9 @@ class TestOneEigensolvePerState:
 
 
 class TestLastRawSpectrum:
-    """``hermitian_eigenvalues`` remembers the spectrum of the last raw matrix
-    it solved, keyed by content: a p-sweep on one matrix is one eigensolve,
-    and any other bytes are solved again."""
+    """``hermitian_eigenvalues`` answers the partial transpose kept on a state
+    from that state's one spectrum, so a p-sweep on it is one eigensolve, and
+    checks and solves any other matrix on every call."""
 
     def test_p_sweep_on_one_matrix_is_one_eigensolve(self, solves):
         rho = isotropic_state(3, 0.7)
@@ -526,16 +525,20 @@ class TestLastRawSpectrum:
         assert not np.array_equal(after, before)
 
     def test_editing_a_result_does_not_change_the_next(self, solves):
-        a = random_hermitian(np.random.default_rng(91), 6)
-        w = hermitian_eigenvalues(a)
-        expect = w.copy()
-        assert w.flags.writeable
-        w[:] = 0.0
-        again = hermitian_eigenvalues(a)
-        assert again is not w and np.array_equal(again, expect)
-        again[0] = -1.0
-        assert np.array_equal(hermitian_eigenvalues(a), expect)
-        assert len(solves) == 1
+        # a raw matrix is solved on every call; a kept partial transpose once
+        rng = np.random.default_rng(91)
+        rho = random_density(rng, 2, 3)
+        for a, count in ((random_hermitian(rng, 6), 3), (partial_transpose(rho), 1)):
+            del solves[:]
+            w = hermitian_eigenvalues(a)
+            expect = w.copy()
+            assert w.flags.writeable
+            w[:] = 0.0
+            again = hermitian_eigenvalues(a)
+            assert again is not w and np.array_equal(again, expect)
+            again[0] = -1.0
+            assert np.array_equal(hermitian_eigenvalues(a), expect)
+            assert len(solves) == count
 
     def test_invalid_input_raises_on_every_call(self, solves):
         skewed = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -555,7 +558,7 @@ class TestLastRawSpectrum:
             del solves[:]
             w = hermitian_eigenvalues(view)
             same = hermitian_eigenvalues(np.ascontiguousarray(view))
-            assert len(solves) == 1
+            assert len(solves) == 2
             assert np.array_equal(w, _eigvalsh_descending(view)) and np.array_equal(same, w)
             assert np.allclose(w, _eigvalsh_descending(a), rtol=0, atol=1e-13 * n)
 
@@ -611,8 +614,9 @@ class TestLastRawSpectrum:
 
 
 class TestStateReadsRawSpectrum:
-    """``pt_spectrum`` takes over the spectrum ``hermitian_eigenvalues`` just
-    solved for the same partial-transpose bytes, and solves its own otherwise."""
+    """The raw path and the state monotones share a state's one spectrum
+    through the partial transpose kept on it; a copy of that array, edited or
+    not, is a raw matrix like any other."""
 
     DIMS = ((2, 2), (2, 3), (3, 3), (2, 5), (2, 8), (4, 4), (3, 6), (4, 5),
             (3, 8), (5, 5), (4, 8), (6, 6), (5, 8), (7, 7), (4, 16), (8, 8))
@@ -632,18 +636,19 @@ class TestStateReadsRawSpectrum:
     def test_taken_over_spectrum_is_bitwise_the_eigensolve(self, seed, d_a, d_b, full):
         rng = np.random.default_rng(seed)
         rho = random_density(rng, d_a, d_b, rank=None if full else 1)
-        hermitian_eigenvalues(partial_transpose(rho))
+        raw = hermitian_eigenvalues(partial_transpose(rho))
         w = pt_spectrum(rho)
-        assert w is linalg._last_raw[1]  # taken over, not solved again
+        assert w is rho._pt_spectrum  # the one spectrum the raw call solved
         assert not w.flags.writeable
-        expect = _eigvalsh_descending(partial_transpose(rho))
+        assert raw is not w and raw.flags.writeable and np.array_equal(raw, w)
+        expect = _eigvalsh_descending(partial_transpose(rho).copy())
         assert w.dtype == expect.dtype and np.array_equal(w, expect)
 
     def test_one_ulp_off_is_solved_again(self, solves):
         rng = np.random.default_rng(101)
         for d_a, d_b in ((2, 2), (3, 4), (8, 8)):
             rho = random_density(rng, d_a, d_b)
-            near = partial_transpose(rho)
+            near = partial_transpose(rho).copy()
             near[1, 1] = np.nextafter(near[1, 1].real, 1.0)
             del solves[:]
             hermitian_eigenvalues(near)
@@ -651,20 +656,16 @@ class TestStateReadsRawSpectrum:
             assert solves == [rho.mat.shape] * 2
             assert np.array_equal(w, _eigvalsh_descending(partial_transpose(rho)))
 
-    def test_no_hash_in_cavity_run(self, monkeypatch):
-        calls = []
-        sha256 = linalg.hashlib.sha256
-
-        def counting(data):
-            calls.append(1)
-            return sha256(data)
-
-        hermitian_eigenvalues(np.eye(1))
-        monkeypatch.setattr(linalg.hashlib, "sha256", counting)
+    def test_cavity_run_registers_no_partial_transpose(self, monkeypatch):
+        kept = {}  # a plain dict, so every registration stays in view
+        monkeypatch.setattr(linalg, "_pt_owner", kept)
         run_trace(TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 10.0, 8)))
-        assert calls == []
-        hermitian_eigenvalues(np.eye(2))  # the raw path hashes
-        assert len(calls) == 1
+        assert kept == {}
+        rho = isotropic_state(3, 0.7)
+        tangle_lower_bound(rho)
+        assert kept == {} and rho._pt is None  # the state monotones keep no transpose
+        pt = partial_transpose(rho)
+        assert kept == {id(pt): rho}
 
     def test_state_the_raw_rule_rejects_keeps_its_monotones(self, solves):
         # skew 0.5 HERM_TOL passes the state's rule at scale 1; the raw rule
@@ -685,6 +686,89 @@ class TestStateReadsRawSpectrum:
         assert neg_w.size and np.allclose(
             neg, [neg_w.sum(), 2.0 * np.linalg.norm(neg_w), 4.0 * neg_w @ neg_w],
             rtol=1e-14, atol=0)
+
+
+class TestKeptPartialTranspose:
+    """``partial_transpose`` keeps one read-only array on its state, and the
+    registry that lets ``hermitian_eigenvalues`` recognise it holds no state
+    alive."""
+
+    def test_one_shared_read_only_array(self):
+        rng = np.random.default_rng(110)
+        for rho in (random_density(rng, 2, 3), random_pure(rng, 3, 3).to_density(),
+                    isotropic_state(3, 0.8)):
+            pt = partial_transpose(rho)
+            assert partial_transpose(rho) is pt
+            assert not pt.flags.writeable
+            with pytest.raises(ValueError):
+                pt[0, 0] = 0.0
+            edited = pt.copy()
+            edited[0, 0] = 0.0
+            assert partial_transpose(rho) is pt and pt[0, 0] != 0.0
+
+    def test_state_monotones_then_raw_sweep_is_one_eigensolve(self, solves):
+        rng = np.random.default_rng(111)
+        for d_a, d_b in TestStateReadsRawSpectrum.DIMS:
+            rho = random_density(rng, d_a, d_b)
+            del solves[:]
+            negativity(rho), concurrence_lower_bound(rho), tangle_lower_bound(rho)
+            reports = [monotone_report(partial_transpose(rho), p) for p in (1.0, 2.0, 3.0)]
+            assert solves == [rho.mat.shape]
+            expect = _eigvalsh_descending(partial_transpose(rho).copy())
+            neg = expect[expect < -linalg.zero_cutoff(expect)]
+            assert all(np.array_equal(r.negative_eigenvalues, neg) for r in reports)
+
+    def test_registry_keeps_no_state_alive(self, solves):
+        rng = np.random.default_rng(112)
+        rho = random_density(rng, 3, 4)
+        pt = partial_transpose(rho)
+        expect = hermitian_eigenvalues(pt)
+        state = weakref.ref(rho)
+        assert linalg._pt_owner.get(id(pt)) is rho
+        del rho
+        gc.collect()
+        assert state() is None and id(pt) not in linalg._pt_owner
+        # the array outlives its state: now a raw matrix, checked and solved
+        del solves[:]
+        for p in (1.0, 2.0):
+            monotone_report(pt, p)
+        w = hermitian_eigenvalues(pt)
+        assert solves == [pt.shape] * 3
+        assert np.array_equal(w, expect)
+
+    def test_threads_racing_on_a_fresh_state_get_correct_spectra(self):
+        rng = np.random.default_rng(113)
+        base = random_density(rng, 6, 8)
+        expect = _eigvalsh_descending(partial_transpose(base).copy())
+        wrong, kept = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                fresh = DensityMatrix._from_psd(base.mat.copy(), base.dims)
+                start = threading.Barrier(6)
+                got = []
+
+                def work():
+                    start.wait()
+                    pt = partial_transpose(fresh)
+                    got.append(pt)
+                    if not np.array_equal(hermitian_eigenvalues(pt), expect):
+                        wrong.append(1)
+                    if not np.array_equal(pt_spectrum(fresh), expect):
+                        wrong.append(2)
+
+                threads = [threading.Thread(target=work) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                kept.append(all(pt is fresh._pt for pt in got) and len(got) == 6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert all(kept)  # every thread got the one array the state keeps
 
 
 class TestValidatedOnce:

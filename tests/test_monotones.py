@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -19,6 +20,8 @@ from entmono import (
     pure_tangle,
     tangle_lower_bound,
 )
+from entmono import linalg
+from entmono.monotones import _spectrum_report
 from entmono.states import isotropic_state
 
 BELL = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
@@ -94,6 +97,56 @@ _entries = st.lists(
 _scales = st.floats(1e-300, 1e300)
 _orders = st.floats(1.0, 1e4)
 _settings = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+def _old_spectrum_report(w, p):
+    """The former ``_spectrum_report``: cutoff from ``np.abs(w).max()``, the
+    largest magnitude from ``np.abs(neg).max()`` and ``m ** p`` in numpy."""
+    neg = w[w < -linalg.zero_cutoff(w)]
+    pnorm = psum = 0.0
+    if neg.size:
+        mag = np.abs(neg)
+        m = mag.max()
+        scaled = float(np.sum((mag / m) ** p))
+        pnorm = float(m * scaled ** (1.0 / p))
+        with np.errstate(over="ignore", under="ignore"):
+            psum = float(m**p * scaled)
+    return pnorm, psum, neg
+
+
+# descending spectra with magnitudes from 1e-300 to 1e300 and exact zeros,
+# the empty one among them
+_spectra = st.lists(
+    st.one_of(st.just(0.0), st.tuples(st.floats(-300.0, 300.0), st.booleans()).map(
+        lambda t: 10.0 ** t[0] * (1.0 if t[1] else -1.0))),
+    max_size=10,
+).map(lambda xs: np.sort(np.array(xs, dtype=np.float64))[::-1])
+
+
+class TestSpectrumReport:
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(_spectra, st.floats(1.0, 1e3))
+    def test_bitwise_the_former_formula(self, w, p):
+        pnorm, psum, neg = _old_spectrum_report(w, p)
+        rep = _spectrum_report(w, p)
+        assert type(rep.pnorm) is float and type(rep.power_sum) is float
+        assert (rep.pnorm, rep.power_sum) == (pnorm, psum)
+        assert rep.negative_eigenvalues.dtype == neg.dtype
+        assert np.array_equal(rep.negative_eigenvalues, neg) and rep.neg_count == neg.size
+
+    def test_empty_spectrum(self):
+        rep = _spectrum_report(np.empty(0), 2.0)
+        assert (rep.pnorm, rep.power_sum, rep.neg_count) == (0.0, 0.0, 0)
+
+    def test_power_sum_overflow_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # m ** p overflows, at huge magnitude or huge p, or only its product
+            for w, p in ((np.array([1.0, -1e300]), 2.0), (np.array([-1e10, -1e300]), 1e3),
+                         (np.array([-4.0]), 1e3), (np.array([-1e154, -1e154]), 2.0)):
+                rep = _spectrum_report(w, p)
+                assert rep.power_sum == math.inf and math.isfinite(rep.pnorm)
+                assert (rep.pnorm, rep.power_sum) == _old_spectrum_report(w, p)[:2]
 
 
 class TestNegPnormProperties:

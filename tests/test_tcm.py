@@ -87,6 +87,11 @@ class TestCoherentState:
         with pytest.raises(ValueError, match="alpha"):
             coherent_state(alpha, 10)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int_alpha_beyond_the_float_range_names_alpha(self, sign):
+        with pytest.raises(ValueError, match="alpha"):
+            coherent_state(sign * 10**400, 5)
+
     @pytest.mark.parametrize("n_max", [20.0, np.float64(20), True], ids=["float", "np", "bool"])
     def test_rejects_non_integer_cutoff(self, n_max):
         with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
@@ -169,6 +174,11 @@ class TestConfig:
     def test_rejects_nbar_outside_finite_range(self, nbar):
         with pytest.raises(ValueError, match="nbar"):
             TcmConfig(nbar=nbar, n_max=5)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int_nbar_beyond_the_float_range_names_nbar(self, sign):
+        with pytest.raises(ValueError, match="nbar must be finite"):
+            TcmConfig(nbar=sign * 10**400, n_max=30)
 
     @pytest.mark.parametrize("n_max", [20.5, 30.0, True, -1])
     def test_rejects_non_integer_cutoff(self, n_max):
