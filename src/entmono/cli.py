@@ -25,11 +25,11 @@ import numpy as np
 
 from .convex_roof import RoofConfig, minimize_roof
 from .io import load_state
-from .linalg import DensityMatrix, PureState, _check_order, pt_spectrum, schmidt_coefficients
+from .linalg import DensityMatrix, PureState, _check_order, schmidt_coefficients
 from .majorization import majorizes, weakly_submajorizes
 from .monotones import (
-    _spectrum_report,
     concurrence_lower_bound,
+    monotone_report,
     negativity,
     pure_concurrence,
     pure_tangle,
@@ -98,7 +98,7 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
 
 
 def _cmd_monotone(args) -> str:
-    rep = _spectrum_report(pt_spectrum(_load_density(args.input)), args.p)
+    rep = monotone_report(_load_density(args.input), args.p)
     neg = [float(x) for x in rep.negative_eigenvalues]
     fields = {"p": rep.p, "pnorm": rep.pnorm, "power_sum": rep.power_sum,
               "neg_count": rep.neg_count, "negative_eigenvalues": neg}

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ISOMETRY_TOL, TRACE_TOL, DensityMatrix, PureState, _as_complex_array,
+from .linalg import (ISOMETRY_TOL, TRACE_TOL, DensityMatrix, PureState, _finite_array,
                      _is_integer, _solve, zero_cutoff)
 from .monotones import _schmidt_tangle
 
@@ -238,7 +238,7 @@ def ensemble_from_unitary(rho: DensityMatrix, u) -> Ensemble:
     when ``u`` has an all-zero row) are dropped; the mixture of the result
     reconstructs ``rho`` up to the discarded null space.
     """
-    u = _as_complex_array(u, "mixing matrix")
+    u = _finite_array(u, "mixing matrix")
     if u.ndim != 2:
         raise RankMismatchError(f"mixing matrix must be 2-D, got shape {u.shape}")
     s = _sqrt_members(rho)

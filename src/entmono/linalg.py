@@ -11,13 +11,14 @@ constructor is proof of its validity and is not checked again. The library
 builds its own states from validated inputs in a form that is a state by
 construction, through ``DensityMatrix._from_psd``, which checks nothing.
 
-A state keeps what is computed from it. :func:`partial_transpose` builds
-the partial transpose once and keeps it on the state as one shared,
-read-only array (take a ``.copy()`` to edit it), and :func:`pt_spectrum`
-keeps its spectrum, so the state monotones and a p-sweep of
+A typed partial transpose carries its state: :func:`partial_transpose`
+returns a fresh, read-only array whose ``state`` attribute is ``rho``, and
+:func:`hermitian_eigenvalues` answers it from the state's one
+:func:`pt_spectrum`, so the state monotones and a p-sweep of
 ``monotone_report(partial_transpose(rho), p)`` share one eigensolve in
-either order: :func:`hermitian_eigenvalues` recognises the kept array. Any
-other raw matrix is checked and solved on every call, with no memory.
+either order. Arrays derived from it (views, copies, arithmetic) are raw
+matrices, checked and solved on every call, with no memory. A state keeps
+only its spectrum.
 
 Solver failures have one rule and one owner: every ``np.linalg`` routine the
 library calls runs through the private ``_solve``, which raises LAPACK's
@@ -58,7 +59,7 @@ its real part, which is exactly the overlap with the Hermitian part of ``rho``.
 
 from __future__ import annotations
 
-import weakref
+import sys
 
 import numpy as np
 
@@ -82,15 +83,29 @@ class ConvergenceError(RuntimeError):
     """Raised when a LAPACK routine behind ``np.linalg`` fails to converge."""
 
 
-def _as_complex_array(a, name: str = "array") -> np.ndarray:
-    out = np.asarray(a, dtype=np.complex128)
+def _as_float(x, name: str) -> float:
+    """``float(x)``, refusing by name a number beyond the float range that is
+    not a float, such as ``10**400``, on which ``float()`` raises
+    ``OverflowError``; a float infinity is left to the caller's own rule."""
+    if not isinstance(x, float) and abs(x) > sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got a number beyond the float range")
+    return float(x)
+
+
+def _finite_array(a, name: str, dtype=np.complex128) -> np.ndarray:
+    """``np.asarray(a, dtype)`` with finite entries; an entry beyond the float
+    range, on which numpy raises ``OverflowError``, is refused by name."""
+    try:
+        out = np.asarray(a, dtype=dtype)
+    except OverflowError as exc:
+        raise ValueError(f"{name} contains entries beyond the float range") from exc
     if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
 
 def _as_square_matrix(a, name: str = "matrix") -> np.ndarray:
-    out = _as_complex_array(a, name)
+    out = _finite_array(a, name)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {out.shape}")
     return out
@@ -103,7 +118,7 @@ def _is_integer(x) -> bool:
 
 def _check_order(p) -> float:
     """The order ``p`` of the monotone family as a float: finite and ``>= 1``."""
-    p = float(p)
+    p = _as_float(p, "p")
     if not 1.0 <= p < np.inf:  # false for nan
         raise ValueError(f"p must be a finite real number >= 1, got {p!r}")
     return p
@@ -144,33 +159,30 @@ def zero_cutoff(w: np.ndarray) -> np.ndarray:
     return ZERO_EIG_TOL * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
 
 
-# id of each kept partial transpose -> its state; an entry goes with its state
-_pt_owner = weakref.WeakValueDictionary()
-
-
 def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a square matrix, Hermitian within ``HERM_TOL *
     |a|_max``, in descending order (degenerate ones in no order beyond the
     numeric sort). The rule is scale-free: ``c * a`` passes exactly when ``a``
     does, for every power of two ``c`` short of overflow and underflow.
 
-    A raw matrix is checked and solved on every call, with no memory: no
-    library, demo or benchmark caller sweeps ``p`` over one. The array
-    :func:`partial_transpose` keeps on a state is recognised, and its
-    spectrum is the state's one :func:`pt_spectrum`, returned as a fresh copy;
-    the raw Hermiticity rule is applied to it at its first use here and its
-    pass remembered on the state. So a p-sweep through ``monotone_report(
-    partial_transpose(rho), p)`` and ``rho``'s state monotones, in either
-    order, cost one eigensolve."""
-    rho = _pt_owner.get(id(a))
-    if rho is not None and rho._pt is a:
-        if not rho._pt_raw_ok:
-            assert_hermitian(a, np.abs(a).max(initial=0.0))
-            rho._pt_raw_ok = True
-        return pt_spectrum(rho).copy()
-    a = _as_square_matrix(a)
-    assert_hermitian(a, np.abs(a).max(initial=0.0))
-    return _eigvalsh_descending(a)
+    A raw matrix is checked and solved on every call, with no memory, so a
+    p-sweep over one solves it once per ``p``. The typed array
+    :func:`partial_transpose` returns is not raw: it carries its state, and
+    its spectrum is the state's one :func:`pt_spectrum`, returned as a fresh
+    copy. The raw Hermiticity rule is applied to it once per state, and if
+    the state has no spectrum yet, this array is the one solved. So a p-sweep
+    through ``monotone_report(partial_transpose(rho), p)``, as the dense
+    benchmark workloads run, and ``rho``'s state monotones, in either order,
+    cost one eigensolve. Views, copies and arithmetic results of that array
+    carry no state and are raw matrices."""
+    rho = a.state if isinstance(a, _PartialTranspose) else None
+    if rho is None or not rho._pt_raw_ok:
+        a = _as_square_matrix(a)  # a plain array: ufuncs on the subclass cost more
+        assert_hermitian(a, np.abs(a).max(initial=0.0))
+        if rho is None:
+            return _eigvalsh_descending(a)
+        rho._pt_raw_ok = True
+    return _kept_spectrum(rho, a).copy()
 
 
 def _solve(routine, *args, **kwargs):
@@ -203,12 +215,11 @@ class DensityMatrix:
     :func:`pt_spectrum` keeps the partial-transpose spectrum on the instance,
     read-only, the first time it is asked for, so every state monotone of one
     state shares one eigensolve. Two threads that race on the first call each
-    compute the same read-only array, and one of them is kept.
-    :func:`partial_transpose` keeps the partial transpose itself, read-only,
-    once it is asked for, so such a state holds ``D^2`` more entries.
+    compute the same read-only array, and one of them is kept. The partial
+    transpose itself is not kept.
     """
 
-    _pt = _pt_spectrum = _pt_raw_ok = None  # unset until first asked for
+    _pt_spectrum = _pt_raw_ok = None  # unset until first asked for
 
     def __init__(self, mat, dims):
         mat = _as_square_matrix(mat, "density matrix")
@@ -255,7 +266,7 @@ class PureState:
     """
 
     def __init__(self, vec, dims):
-        vec = _as_complex_array(vec, "state vector").reshape(-1)
+        vec = _finite_array(vec, "state vector").reshape(-1)
         self.dims = _check_dims(dims, vec.size)
         nrm2 = np.vdot(vec, vec).real
         if abs(nrm2 - 1.0) > TRACE_TOL:
@@ -289,23 +300,28 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     monotones. This involution preserves trace and Hermiticity but not
     positivity, which is what the entanglement monotones probe.
 
-    The result is built once and kept on ``rho``: every call returns that
-    same shared, read-only array (take a ``.copy()`` to edit it), so
-    :func:`hermitian_eigenvalues` recognises it and answers from the state's
-    one :func:`pt_spectrum`. Threads that race on the first call all get the
-    array that is kept.
+    Each call returns a fresh, read-only array whose ``state`` attribute is
+    ``rho`` (take a ``.copy()`` to edit it), so :func:`hermitian_eigenvalues`
+    answers it from the state's one :func:`pt_spectrum`. Arrays derived from
+    it carry no state.
     """
-    pt = rho._pt
-    if pt is None:
-        pt = rho.__dict__.setdefault("_pt", _transpose_b(rho))  # atomic: one array wins
-        pt.flags.writeable = False
-        _pt_owner[id(pt)] = rho
+    pt = _transpose_b(rho).view(_PartialTranspose)
+    pt.flags.writeable = False
+    pt.state = rho
     return pt
 
 
 def _transpose_b(rho: DensityMatrix) -> np.ndarray:
     # axes (i, j, k, l) of shape dims * 2; reshaping the permuted axes copies them
     return rho.mat.reshape(rho.dims * 2).transpose(0, 3, 2, 1).reshape(rho.mat.shape)
+
+
+class _PartialTranspose(np.ndarray):
+    """The partial transpose of ``state``. Views, copies and arithmetic
+    results are of this type too, but with the class default ``state = None``:
+    they are raw matrices."""
+
+    state = None
 
 
 def pt_spectrum(rho: DensityMatrix) -> np.ndarray:
@@ -315,13 +331,18 @@ def pt_spectrum(rho: DensityMatrix) -> np.ndarray:
     it keeps the validated state's trace and largest ``|a - a^H|`` entry
     exactly.
 
-    It solves the partial transpose kept on ``rho`` if there is one, and
-    otherwise a transient one that it neither keeps nor registers, so a
-    program that only asks for state monotones, such as
+    It solves a transient partial transpose and keeps only the spectrum, so
+    a program that only asks for state monotones, such as
     :func:`entmono.tcm.run_trace`, holds nothing extra per state."""
+    return _kept_spectrum(rho, None)
+
+
+def _kept_spectrum(rho: DensityMatrix, pt) -> np.ndarray:
+    """``rho``'s kept spectrum; on the first call, the spectrum of ``pt``, the
+    partial transpose of ``rho``, or of a transient one if ``None``."""
     w = rho._pt_spectrum
     if w is None:
-        w = _eigvalsh_descending(_transpose_b(rho) if rho._pt is None else rho._pt)
+        w = _eigvalsh_descending(_transpose_b(rho) if pt is None else pt)
         w.flags.writeable = False
         rho._pt_spectrum = w
     return w

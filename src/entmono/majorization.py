@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import MAJ_TOL, _check_order
+from .linalg import MAJ_TOL, _check_order, _finite_array
 
 
 def _as_vector(x, name: str) -> np.ndarray:
-    out = np.asarray(x, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return out
+    return _finite_array(x, name, np.float64).reshape(-1)
 
 
 def _prefix_sums(y, x) -> tuple[np.ndarray, np.ndarray, float]:
@@ -66,11 +63,9 @@ def pth_power(x, p: float) -> np.ndarray:
 def is_doubly_stochastic(a) -> bool:
     """True for a square matrix with entries of at least ``-MAJ_TOL`` whose rows
     and columns each sum to one within ``MAJ_TOL`` times their 1-norm plus 1."""
-    a = np.asarray(a, dtype=np.float64)
+    a = _finite_array(a, "matrix", np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
     if np.any(a < -MAJ_TOL):
         return False
     return all(

@@ -43,7 +43,9 @@ from .linalg import (
 
 
 def negative_eigenvalues(a) -> np.ndarray:
-    """Strictly negative eigenvalues of a Hermitian matrix, descending.
+    """Strictly negative eigenvalues of a Hermitian matrix, or of a state's
+    partial transpose when ``a`` is a :class:`~entmono.linalg.DensityMatrix`,
+    descending.
 
     Eigenvalues within :func:`~entmono.linalg.zero_cutoff` of zero,
     ``|lambda| <= ZERO_EIG_TOL * |lambda|_max``, count as zero so that
@@ -55,7 +57,9 @@ def negative_eigenvalues(a) -> np.ndarray:
 
 
 def neg_pnorm(a, p: float = 2.0) -> float:
-    """p-norm of the negative eigenvalues of a Hermitian matrix.
+    """p-norm of the negative eigenvalues of a Hermitian matrix, or of a
+    state's partial transpose when ``a`` is a
+    :class:`~entmono.linalg.DensityMatrix`.
 
     Returns 0 for positive semidefinite input. Accepts any real ``p >= 1``.
     Which orders give an entanglement monotone on the partial transpose is
@@ -79,11 +83,13 @@ class MonotoneReport:
 def monotone_report(a, p: float = 2.0) -> MonotoneReport:
     """Negative-spectrum norms of a Hermitian matrix ``a`` for one order ``p``.
 
-    A raw matrix is checked and solved on every call. The shared array
-    :func:`~entmono.linalg.partial_transpose` keeps on a state is answered
-    from that state's one :func:`~entmono.linalg.pt_spectrum`, so a sweep
-    over ``p`` on it, before or after the state monotones, is one eigensolve."""
-    return _spectrum_report(hermitian_eigenvalues(a), _check_order(p))
+    A :class:`~entmono.linalg.DensityMatrix` is read from its one
+    :func:`~entmono.linalg.pt_spectrum`, as is the typed array
+    :func:`~entmono.linalg.partial_transpose` returns, so a sweep over ``p``
+    on either, before or after the state monotones, is one eigensolve. Any
+    other matrix is checked and solved on every call."""
+    w = pt_spectrum(a) if isinstance(a, DensityMatrix) else hermitian_eigenvalues(a)
+    return _spectrum_report(w, _check_order(p))
 
 
 def _spectrum_report(w: np.ndarray, p: float) -> MonotoneReport:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, _is_integer, max_entangled_vector
+from .linalg import DensityMatrix, PureState, _as_float, _is_integer, max_entangled_vector
 
 
 def _check_d(d: int) -> int:
@@ -33,8 +33,8 @@ def _check_d(d: int) -> int:
 
 
 def _check_fidelity(fidelity: float) -> float:
-    f = float(fidelity)
-    if not np.isfinite(f) or f < 0.0 or f > 1.0:
+    f = _as_float(fidelity, "fidelity")
+    if not 0.0 <= f <= 1.0:  # false for nan
         raise ValueError(f"fidelity must lie in [0, 1], got {fidelity!r}")
     return f
 

@@ -37,12 +37,12 @@ because it concerns the cavity model rather than the input states.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, _is_integer, _solve, zero_cutoff
+from .linalg import (DensityMatrix, PureState, _as_float, _finite_array, _is_integer, _solve,
+                     zero_cutoff)
 from .monotones import tangle_lower_bound
 
 TRUNCATION_TOL = 1e-6
@@ -76,7 +76,7 @@ def coherent_state(alpha: float, n_max: int) -> np.ndarray:
     negative or whose square is not finite (an int beyond the float range
     among them).
     """
-    alpha = math.inf if abs(alpha) > sys.float_info.max else float(alpha)
+    alpha = _as_float(alpha, "alpha")
     x = alpha * alpha
     if not (math.isfinite(x) and alpha >= 0):
         raise ValueError(f"alpha must be >= 0 with a finite square, got {alpha}")
@@ -129,7 +129,7 @@ class TcmConfig:
     t_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 50.0, 1000))
 
     def __post_init__(self):
-        if not 0 <= self.nbar <= sys.float_info.max:  # no float(): an int may exceed it
+        if not 0 <= _as_float(self.nbar, "nbar") < math.inf:  # false for nan
             raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
         if not _is_integer(self.n_max) or self.n_max < 0:
             raise ValueError(f"n_max must be a non-negative integer, got {self.n_max!r}")
@@ -143,8 +143,8 @@ class TcmConfig:
                              f"{exc}") from None
         amps.flags.writeable = False
         object.__setattr__(self, "_amplitudes", amps)
-        grid = np.asarray(self.t_grid, dtype=np.float64).reshape(-1)
-        if grid.size == 0 or not np.all(np.isfinite(grid)) or grid[0] < 0:
+        grid = _finite_array(self.t_grid, "t_grid", np.float64).reshape(-1)
+        if grid.size == 0 or grid[0] < 0:
             raise ValueError("t_grid must be non-empty, finite and non-negative")
         if grid.size > 1 and np.any(np.diff(grid) <= 0):
             raise ValueError("t_grid must be strictly increasing")

@@ -98,6 +98,23 @@ class TestMonotone:
         assert abs(obj["pnorm"] - 0.5) < 1e-12
         assert obj["neg_count"] == 1
 
+    def test_state_the_raw_rule_rejects_is_read_as_a_state(self, capsys, tmp_path):
+        # skew 0.5 HERM_TOL passes the state's rule at scale 1 but not the raw
+        # rule at the partial transpose's own scale: the command reads the state
+        rng = np.random.default_rng(102)
+        mat = random_density(rng, 3, 3, rank=2).mat.copy()
+        mat[0, 4] += 0.5e-8
+        rho = DensityMatrix(mat, (3, 3))
+        path = tmp_path / "skewed.json"
+        save_state(path, rho)
+        code, out, _ = run(capsys, "monotone", "--p", "2", "--input", str(path), "--json")
+        assert code == 0
+        obj, rep = json.loads(out), monotone_report(rho, 2.0)
+        assert (obj["p"], obj["pnorm"], obj["power_sum"], obj["neg_count"]) == (
+            rep.p, rep.pnorm, rep.power_sum, rep.neg_count)
+        assert obj["negative_eigenvalues"] == rep.negative_eigenvalues.tolist()
+        assert rep.neg_count > 0
+
 
 class TestIsotropic:
     def test_row_count_and_threshold(self, capsys):

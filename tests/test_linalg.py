@@ -1,7 +1,6 @@
-import gc
 import sys
 import threading
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from entmono import (
     schmidt_coefficients,
     tangle_lower_bound,
 )
-from entmono import linalg, monotones
+from entmono import linalg, monotones, tcm
 from entmono.linalg import (
     HERM_TOL,
     PSD_TOL,
@@ -656,17 +655,6 @@ class TestStateReadsRawSpectrum:
             assert solves == [rho.mat.shape] * 2
             assert np.array_equal(w, _eigvalsh_descending(partial_transpose(rho)))
 
-    def test_cavity_run_registers_no_partial_transpose(self, monkeypatch):
-        kept = {}  # a plain dict, so every registration stays in view
-        monkeypatch.setattr(linalg, "_pt_owner", kept)
-        run_trace(TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 10.0, 8)))
-        assert kept == {}
-        rho = isotropic_state(3, 0.7)
-        tangle_lower_bound(rho)
-        assert kept == {} and rho._pt is None  # the state monotones keep no transpose
-        pt = partial_transpose(rho)
-        assert kept == {id(pt): rho}
-
     def test_state_the_raw_rule_rejects_keeps_its_monotones(self, solves):
         # skew 0.5 HERM_TOL passes the state's rule at scale 1; the raw rule
         # judges the same partial transpose at its own scale, |a|_max < 0.5
@@ -688,23 +676,27 @@ class TestStateReadsRawSpectrum:
             rtol=1e-14, atol=0)
 
 
-class TestKeptPartialTranspose:
-    """``partial_transpose`` keeps one read-only array on its state, and the
-    registry that lets ``hermitian_eigenvalues`` recognise it holds no state
-    alive."""
+class TestTypedPartialTranspose:
+    """``partial_transpose`` returns a fresh, read-only array that carries its
+    state, and ``hermitian_eigenvalues`` answers it from that state's one
+    spectrum; arrays derived from it are raw matrices, and a state keeps only
+    its spectrum."""
 
-    def test_one_shared_read_only_array(self):
+    def test_fresh_read_only_array_carries_its_state(self):
         rng = np.random.default_rng(110)
         for rho in (random_density(rng, 2, 3), random_pure(rng, 3, 3).to_density(),
                     isotropic_state(3, 0.8)):
             pt = partial_transpose(rho)
-            assert partial_transpose(rho) is pt
+            again = partial_transpose(rho)
+            assert again is not pt and pt.state is rho and again.state is rho
+            assert np.array_equal(again, pt)
             assert not pt.flags.writeable
             with pytest.raises(ValueError):
                 pt[0, 0] = 0.0
             edited = pt.copy()
             edited[0, 0] = 0.0
-            assert partial_transpose(rho) is pt and pt[0, 0] != 0.0
+            assert partial_transpose(rho)[0, 0] == pt[0, 0] != 0.0
+            assert vars(rho).keys() == {"mat", "dims"}  # nothing kept on the state
 
     def test_state_monotones_then_raw_sweep_is_one_eigensolve(self, solves):
         rng = np.random.default_rng(111)
@@ -718,57 +710,137 @@ class TestKeptPartialTranspose:
             neg = expect[expect < -linalg.zero_cutoff(expect)]
             assert all(np.array_equal(r.negative_eigenvalues, neg) for r in reports)
 
-    def test_registry_keeps_no_state_alive(self, solves):
+    def test_sweep_over_an_unnamed_state_is_one_eigensolve(self, solves):
+        # the typed array holds its state, so nothing but the array names it
         rng = np.random.default_rng(112)
+        mat = random_density(rng, 3, 4).mat
+        pt = partial_transpose(DensityMatrix(mat, (3, 4)))
+        reports = [monotone_report(pt, p) for p in (1.0, 2.0, 3.0)]
+        neg_pnorm(pt, 1.5), hermitian_eigenvalues(pt)
+        assert solves == [(12, 12)]
+        expect = _eigvalsh_descending(np.asarray(pt))
+        neg = expect[expect < -linalg.zero_cutoff(expect)]
+        assert all(np.array_equal(r.negative_eigenvalues, neg) for r in reports)
+
+    def test_the_array_given_is_the_one_solved(self, solves, monkeypatch):
+        transposes = []
+        transpose = linalg._transpose_b
+
+        def counting(rho):
+            transposes.append(rho)
+            return transpose(rho)
+
+        monkeypatch.setattr(linalg, "_transpose_b", counting)
+        rho = isotropic_state(3, 0.7)
+        pt = partial_transpose(rho)
+        del transposes[:]
+        w = hermitian_eigenvalues(pt)
+        assert transposes == [] and solves == [pt.shape]  # no second transpose
+        assert np.array_equal(pt_spectrum(rho), w) and transposes == []
+        fresh = isotropic_state(3, 0.7)
+        pt_spectrum(fresh)  # with no typed array, a transient transpose is solved
+        assert transposes == [fresh] and solves == [pt.shape] * 2
+
+    def test_derived_arrays_are_raw_matrices(self, solves):
+        rng = np.random.default_rng(113)
         rho = random_density(rng, 3, 4)
         pt = partial_transpose(rho)
         expect = hermitian_eigenvalues(pt)
-        state = weakref.ref(rho)
-        assert linalg._pt_owner.get(id(pt)) is rho
-        del rho
-        gc.collect()
-        assert state() is None and id(pt) not in linalg._pt_owner
-        # the array outlives its state: now a raw matrix, checked and solved
-        del solves[:]
-        for p in (1.0, 2.0):
-            monotone_report(pt, p)
-        w = hermitian_eigenvalues(pt)
-        assert solves == [pt.shape] * 3
-        assert np.array_equal(w, expect)
+        derived = {"copy": pt.copy(), "T": pt.T, "slice": pt[:], "sum": pt + 0,
+                   "asarray": np.asarray(pt)}
+        for name, a in derived.items():
+            assert getattr(a, "state", None) is None, name
+            del solves[:]
+            for p in (1.0, 2.0):
+                monotone_report(a, p)
+            w = hermitian_eigenvalues(a)
+            assert solves == [pt.shape] * 3, name
+            assert np.array_equal(w, _eigvalsh_descending(a)), name
+            assert np.allclose(w, expect, rtol=0, atol=1e-14), name
 
-    def test_threads_racing_on_a_fresh_state_get_correct_spectra(self):
-        rng = np.random.default_rng(113)
+    def test_a_state_keeps_only_its_spectrum(self):
+        rng = np.random.default_rng(114)
+        rho = random_density(rng, 32, 32)  # D = 1024: a D x D array is 16 MB
+        big = rho.mat.nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for p in (1.0, 2.0, 3.0):
+                monotone_report(partial_transpose(rho), p)
+            negativity(rho), concurrence_lower_bound(rho)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < big / 16  # the 8 kB spectrum, not a 16 MB transpose
+        assert {k for k, v in vars(rho).items() if isinstance(v, np.ndarray)} == {
+            "mat", "_pt_spectrum"}
+        assert rho._pt_spectrum.shape == (rho.dim,)
+
+    def test_cavity_run_and_state_monotones_keep_only_the_spectrum(self, monkeypatch):
+        seen = []
+
+        def recording(rho):
+            seen.append(rho)
+            return bound(rho)
+
+        bound = tcm.tangle_lower_bound
+        monkeypatch.setattr(tcm, "tangle_lower_bound", recording)
+        run_trace(TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 10.0, 8)))
+        rho = isotropic_state(3, 0.7)
+        tangle_lower_bound(rho)
+        assert len(seen) == 8
+        for state in seen + [rho]:
+            assert vars(state).keys() == {"mat", "dims", "_pt_spectrum"}
+            assert state._pt_spectrum.shape == (state.dim,)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_state_form_is_bitwise_the_typed_form(self, solves, seed):
+        rng = np.random.default_rng(115 + seed)
+        for d_a, d_b in ((2, 2), (2, 3), (3, 3), (4, 5)):
+            mat = random_density(rng, d_a, d_b, rank=None if seed else 2).mat
+            for state_first in (True, False):
+                rho = DensityMatrix(mat, (d_a, d_b))
+                del solves[:]
+                forms = (rho, partial_transpose(rho))
+                for p in (1.0, 1.5, 2.0, 3.0, 50.0):
+                    a, b = (monotone_report(x, p) for x in (forms if state_first else forms[::-1]))
+                    assert (a.p, a.pnorm, a.power_sum, a.neg_count) == (
+                        b.p, b.pnorm, b.power_sum, b.neg_count)
+                    assert np.array_equal(a.negative_eigenvalues, b.negative_eigenvalues)
+                assert neg_pnorm(rho, 2.0) == neg_pnorm(partial_transpose(rho), 2.0)
+                assert solves == [rho.mat.shape]
+
+    def test_threads_racing_on_a_fresh_state_get_the_right_spectrum(self):
+        rng = np.random.default_rng(116)
         base = random_density(rng, 6, 8)
         expect = _eigvalsh_descending(partial_transpose(base).copy())
-        wrong, kept = [], []
+        wrong = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
                 fresh = DensityMatrix._from_psd(base.mat.copy(), base.dims)
                 start = threading.Barrier(6)
-                got = []
 
-                def work():
+                def work(i):
                     start.wait()
-                    pt = partial_transpose(fresh)
-                    got.append(pt)
-                    if not np.array_equal(hermitian_eigenvalues(pt), expect):
-                        wrong.append(1)
-                    if not np.array_equal(pt_spectrum(fresh), expect):
-                        wrong.append(2)
+                    if i % 2:
+                        got = hermitian_eigenvalues(partial_transpose(fresh))
+                    else:
+                        got = pt_spectrum(fresh)
+                    if not np.array_equal(got, expect):
+                        wrong.append(i)
 
-                threads = [threading.Thread(target=work) for _ in range(6)]
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
                 for t in threads:
                     t.start()
                 for t in threads:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
-                kept.append(all(pt is fresh._pt for pt in got) and len(got) == 6)
+                assert np.array_equal(fresh._pt_spectrum, expect)
         finally:
             sys.setswitchinterval(interval)
         assert wrong == []
-        assert all(kept)  # every thread got the one array the state keeps
 
 
 class TestValidatedOnce:
