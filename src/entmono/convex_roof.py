@@ -50,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ISOMETRY_TOL, TRACE_TOL, DensityMatrix, PureState, _finite_array,
-                     _is_integer, _solve, zero_cutoff)
+from .linalg import (ISOMETRY_TOL, MAX_COUNT, TRACE_TOL, DensityMatrix, PureState, _as_array,
+                     _finite_array, _is_integer, _solve, zero_cutoff)
 from .monotones import _schmidt_tangle
 
 # Convergence threshold on the Riemannian gradient norm of each descent.
@@ -105,7 +105,7 @@ class Ensemble:
     """
 
     def __init__(self, probabilities, states: list[PureState]):
-        probs = np.asarray(probabilities, dtype=np.float64).reshape(-1)
+        probs = _as_array(probabilities, "probabilities", np.float64).reshape(-1)
         if probs.size == 0 or probs.size != len(states):
             raise ValueError(
                 f"{probs.size} probabilities for {len(states)} states"
@@ -142,7 +142,9 @@ class RoofConfig:
     """Search parameters for :func:`minimize_roof`.
 
     ``ensemble_size`` defaults to ``min(r^2, r + 4)`` for rank ``r`` and may
-    not exceed ``4 r^2``. ``max_iters`` caps the descent iterations of each
+    not exceed ``4 r^2``. ``ensemble_size``, ``restarts`` and ``max_iters``
+    are at most :data:`~entmono.linalg.MAX_COUNT` (``2**31 - 1``), checked
+    here. ``max_iters`` caps the descent iterations of each
     smoothing stage of each restart; a descent also stops once its
     Riemannian gradient norm falls below ``STEP_TOL``, or when backtracking
     finds no improving step. :attr:`RoofResult.descents` says which.
@@ -160,6 +162,8 @@ class RoofConfig:
             value = getattr(self, name)
             if not _is_integer(value) and not (name == "ensemble_size" and value is None):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value is not None and value > MAX_COUNT:
+                raise ValueError(f"{name} must be at most {MAX_COUNT}, got {value}")
         if self.ensemble_size is not None and self.ensemble_size < 1:
             raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         if self.restarts < 1 or self.max_iters < 1:
@@ -331,8 +335,18 @@ def _tangent(u, z):
 
 def _dots(a, b):
     """Row inner products ``<a_k, b_k>`` of two ``(B, N)`` real stacks, one
-    stacked matmul, each row computed as it would be in a stack of one."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    ``np.vecdot`` call, each row computed as it would be in a stack of one."""
+    return np.vecdot(a, b)
+
+
+def _push(pairs, rows, new):
+    """Make ``new[j]`` the newest pair of row ``rows[j]`` of ``pairs``,
+    dropping its oldest; ``rows=None`` means every row, shifted in place."""
+    if rows is None:
+        pairs[:, :-1] = pairs[:, 1:]
+        pairs[:, -1] = new
+    else:
+        pairs[rows] = np.concatenate((pairs[rows, 1:], new[:, None]), axis=1)
 
 
 def _descend(u, s, sh, d_a, d_b, objective, eps, max_iters):
@@ -358,8 +372,11 @@ def _descend(u, s, sh, d_a, d_b, objective, eps, max_iters):
     The rows of ``u`` (``(B, m, r)``, owned and overwritten) descend in
     lockstep: each round evaluates one trial for every row still running,
     in one call, and forms the directions of the rows that moved by stacked
-    matmuls on real views. Every decision is taken per row on scalars, so
-    each row follows the trajectory it would follow alone.
+    products on real views. The pair memory is updated in place: a round in
+    which every row stores a pair shifts the whole stack (:func:`_push`),
+    and the two-loop reads it directly when every row moved; only a subset
+    of rows is gathered and scattered. Every decision is taken per row on
+    scalars, so each row follows the trajectory it would follow alone.
     Returns the isometries and one :class:`Descent` record per row; the
     smoothed values stay inside the descent.
     """
@@ -381,16 +398,17 @@ def _descend(u, s, sh, d_a, d_b, objective, eps, max_iters):
         x = xi_r.view(np.float64).reshape(k, -1)
         g2 = _dots(x, x).tolist()
         if mem:
-            ps, py, pr = pair_s[rows], pair_y[rows], rho[rows]
-            q, alphas = x, []
+            ps, py, pr = ((pair_s, pair_y, rho) if k == n
+                          else (pair_s[rows], pair_y[rows], rho[rows]))
+            q, alphas = x.copy(), []
             for j in reversed(range(mem)):
                 a = pr[:, j] * _dots(ps[:, j], q)
-                q = q - a[:, None] * py[:, j]
+                q -= a[:, None] * py[:, j]
                 alphas.append(a)
             z = np.array([gamma[i] for i in rows])[:, None] * q
             for j in range(mem):
                 b = pr[:, j] * _dots(py[:, j], z)
-                z = z + (alphas[mem - 1 - j] - b)[:, None] * ps[:, j]
+                z += (alphas[mem - 1 - j] - b)[:, None] * ps[:, j]
             p_r = _tangent(u_r, z.view(np.complex128).reshape(xi_r.shape))
             pv = p_r.view(np.float64).reshape(k, -1)
             slopes, pp = _dots(x, pv).tolist(), _dots(pv, pv).tolist()
@@ -421,10 +439,11 @@ def _descend(u, s, sh, d_a, d_b, objective, eps, max_iters):
         for j in keep:
             gamma[rows[j]] = sy[j] / yy[j]
         if mem and keep:
-            kept = [rows[j] for j in keep]
-            pair_s[kept] = np.concatenate((pair_s[kept, 1:], sv[keep, None]), axis=1)
-            pair_y[kept] = np.concatenate((pair_y[kept, 1:], yv[keep, None]), axis=1)
-            rho[kept] = np.concatenate((rho[kept, 1:], [[1.0 / sy[j]] for j in keep]), axis=1)
+            kept = None if len(keep) == n else [rows[j] for j in keep]
+            sel = slice(None) if kept is None else keep
+            news = sv[sel], yv[sel], 1.0 / np.array(sy)[sel]
+            for pairs, new in zip((pair_s, pair_y, rho), news):
+                _push(pairs, kept, new)
 
     p = start(list(range(n)), u, xi)
     live = [i for i in range(n) if records[i] is None]

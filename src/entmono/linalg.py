@@ -70,6 +70,11 @@ ZERO_EIG_TOL = 1e-10
 MAJ_TOL = 1e-12
 ISOMETRY_TOL = 1e-10
 
+# The largest count accepted for ``n_max``, ``restarts``, ``max_iters`` and
+# ``ensemble_size``: far more than fits in memory or time, and refused by name
+# before anything is allocated for it.
+MAX_COUNT = 2**31 - 1
+
 
 class NonHermitianError(ValueError):
     """Raised when a matrix violates the Hermiticity tolerance."""
@@ -86,19 +91,29 @@ class ConvergenceError(RuntimeError):
 def _as_float(x, name: str) -> float:
     """``float(x)``, refusing by name a number beyond the float range that is
     not a float, such as ``10**400``, on which ``float()`` raises
-    ``OverflowError``; a float infinity is left to the caller's own rule."""
-    if not isinstance(x, float) and abs(x) > sys.float_info.max:
-        raise ValueError(f"{name} must be finite, got a number beyond the float range")
-    return float(x)
+    ``OverflowError``; a float infinity is left to the caller's own rule.
+    A value that is not a real number, such as a string, raises
+    ``TypeError`` naming the argument."""
+    try:
+        if not isinstance(x, float) and abs(x) > sys.float_info.max:
+            raise ValueError(f"{name} must be finite, got a number beyond the float range")
+        return float(x)
+    except TypeError:
+        raise TypeError(f"{name} must be a real number, got {x!r}") from None
+
+
+def _as_array(a, name: str, dtype=np.complex128) -> np.ndarray:
+    """``np.asarray(a, dtype)``, refusing by name an entry beyond the float
+    range, on which numpy raises ``OverflowError``."""
+    try:
+        return np.asarray(a, dtype=dtype)
+    except OverflowError as exc:
+        raise ValueError(f"{name} contains entries beyond the float range") from exc
 
 
 def _finite_array(a, name: str, dtype=np.complex128) -> np.ndarray:
-    """``np.asarray(a, dtype)`` with finite entries; an entry beyond the float
-    range, on which numpy raises ``OverflowError``, is refused by name."""
-    try:
-        out = np.asarray(a, dtype=dtype)
-    except OverflowError as exc:
-        raise ValueError(f"{name} contains entries beyond the float range") from exc
+    """:func:`_as_array` with finite entries."""
+    out = _as_array(a, name, dtype)
     if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
@@ -114,6 +129,13 @@ def _as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 def _is_integer(x) -> bool:
     """True for Python and numpy integers; ``bool`` is not a count."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_count(x, name: str) -> int:
+    """``x``, an integer in ``[0, MAX_COUNT]``, or a ``ValueError`` naming it."""
+    if not (_is_integer(x) and 0 <= x <= MAX_COUNT):
+        raise ValueError(f"{name} must be a non-negative integer up to {MAX_COUNT}, got {x!r}")
+    return x
 
 
 def _check_order(p) -> float:

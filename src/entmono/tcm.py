@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (DensityMatrix, PureState, _as_float, _finite_array, _is_integer, _solve,
+from .linalg import (DensityMatrix, PureState, _as_float, _check_count, _finite_array, _solve,
                      zero_cutoff)
 from .monotones import tangle_lower_bound
 
@@ -74,14 +74,15 @@ def coherent_state(alpha: float, n_max: int) -> np.ndarray:
     unless the amplitudes keep at least ``1 - TRUNCATION_TOL`` of the
     coherent state's weight, and ``ValueError`` for an ``alpha`` that is
     negative or whose square is not finite (an int beyond the float range
-    among them).
+    among them), or for an ``n_max`` that is not an integer in ``[0,
+    MAX_COUNT]`` (:data:`~entmono.linalg.MAX_COUNT` is ``2**31 - 1``),
+    checked before anything is allocated.
     """
     alpha = _as_float(alpha, "alpha")
     x = alpha * alpha
     if not (math.isfinite(x) and alpha >= 0):
         raise ValueError(f"alpha must be >= 0 with a finite square, got {alpha}")
-    if not _is_integer(n_max) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    _check_count(n_max, "n_max")
     n = np.arange(n_max + 1)
     if alpha == 0.0:
         amps = (n == 0).astype(np.float64)
@@ -116,7 +117,8 @@ class TcmConfig:
     ``>= 0``. The cutoff has one rule: :func:`evolve` starts from the
     coherent amplitudes ``c_0 .. c_{n_max - 2}``, and they must keep at least
     ``1 - TRUNCATION_TOL`` of the coherent state's weight. So ``n_max >= 2``
-    always (``|e, e, 0>`` reaches ``|g, g, 2>``). The rule is checked once,
+    always (``|e, e, 0>`` reaches ``|g, g, 2>``), and at most
+    :data:`~entmono.linalg.MAX_COUNT` (``2**31 - 1``). The rule is checked once,
     by ``coherent_state(sqrt(nbar), n_max - 2)``, whose
     :class:`TruncationError` is raised here as a ``ValueError`` naming
     ``n_max``; the normalized amplitudes it returns are kept read-only on the
@@ -131,8 +133,7 @@ class TcmConfig:
     def __post_init__(self):
         if not 0 <= _as_float(self.nbar, "nbar") < math.inf:  # false for nan
             raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
-        if not _is_integer(self.n_max) or self.n_max < 0:
-            raise ValueError(f"n_max must be a non-negative integer, got {self.n_max!r}")
+        _check_count(self.n_max, "n_max")
         if self.n_max < 2:
             raise ValueError(f"n_max must be at least 2, since |e,e,0> reaches |g,g,2>; "
                              f"got {self.n_max}")

@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_density
 
-from entmono import DensityMatrix, PureState, monotone_report, pth_power, save_state
+from entmono import (DensityMatrix, PureState, isotropic_state, monotone_report, pth_power,
+                     save_state)
 from entmono.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -198,6 +205,20 @@ class TestRoof:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        path = tmp_path / "iso.json"
+        save_state(path, isotropic_state(3, 0.8))
+        outs = []
+        for threads in ("1", "2"):  # set in each child's environment only
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "entmono", "roof", "--objective", "concurrence",
+                 "--input", str(path), "--restarts", "4"],
+                env=env, capture_output=True, timeout=120, check=True)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] != b""
 
     def test_zero_restarts_is_a_computation_error(self, capsys, bell_file):
         code, out, err = run(capsys, "roof", "--objective", "concurrence",

@@ -342,8 +342,22 @@ class TestDescentRecord:
 class TestBatchedRestarts:
     """Restarts descend as one stack; each must be bitwise what it is alone."""
 
-    def test_stack_equals_each_row_alone(self):
+    def test_stack_equals_each_row_alone(self, monkeypatch):
         stops = set()
+        # the stacked concurrence descents update their L-BFGS memory in
+        # rounds where every row stores its pair (shifted in place), in rounds
+        # of a subset, and decline the pair of some accepted moves
+        # (<step,dxi> <= 0); the alone runs are not counted
+        whole = subset = declined = 0
+        pushed = []
+        push = convex_roof._push
+
+        def recording(pairs, rows, new):
+            if pairs.ndim == 2:  # the 1 / <step,dxi> push, once per memory update
+                pushed.append(rows)
+            push(pairs, rows, new)
+
+        monkeypatch.setattr(convex_roof, "_push", recording)
         # (objective, seed, rank, ensemble size, iterations): the concurrence
         # stages end max_iters or no_step, and the tangle rows end converged
         # or max_iters in different rounds, so later rounds run a subset
@@ -357,7 +371,13 @@ class TestBatchedRestarts:
             # by induction every row's whole chain is what it is alone
             for eps in convex_roof._EPS_STAGES if objective == "concurrence" else (0.0,):
                 args = (s, s.conj().T, 2, 3, objective, eps, iters)
+                pushed.clear()
                 finals, records = convex_roof._descend(u.copy(), *args)
+                if convex_roof._MEMORY[objective]:
+                    whole += pushed.count(None)
+                    subset += len(pushed) - pushed.count(None)
+                    stored = sum(len(u) if rows is None else len(rows) for rows in pushed)
+                    declined += sum(record.iterations for record in records) - stored
                 for row, final, record in zip(u, finals, records):
                     alone = convex_roof._descend(row[None].copy(), *args)
                     assert np.array_equal(alone[0][0], final)
@@ -365,6 +385,7 @@ class TestBatchedRestarts:
                     stops.add(record.stop)
                 u = finals
         assert stops == {"converged", "max_iters", "no_step"}
+        assert whole > 0 and subset > 0 and declined > 0
 
     def test_memory_groups_do_not_change_the_result(self, monkeypatch):
         rho = random_density(np.random.default_rng(18), 2, 3, rank=3)  # m = 7, D = 6
