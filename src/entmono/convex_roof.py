@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (ISOMETRY_TOL, MAX_COUNT, TRACE_TOL, DensityMatrix, PureState, _as_array,
-                     _finite_array, _is_integer, _solve, zero_cutoff)
+                     _check_count, _finite_array, _is_integer, _solve, zero_cutoff)
 from .monotones import _schmidt_tangle
 
 # Convergence threshold on the Riemannian gradient norm of each descent.
@@ -222,7 +222,11 @@ def numerical_rank(rho: DensityMatrix) -> int:
 
 
 def random_isometry(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    """Orthogonal polar factor of an ``m x r`` complex Gaussian matrix."""
+    """Orthogonal polar factor of an ``m x r`` complex Gaussian matrix.
+    ``m`` and ``r`` are integers in ``[0, MAX_COUNT]``, checked before
+    anything is allocated, with ``m >= r``."""
+    _check_count(m, "m")
+    _check_count(r, "r")
     if m < r:
         raise ValueError(f"need m >= r for an isometry, got {m} < {r}")
     z = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))

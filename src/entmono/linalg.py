@@ -223,16 +223,20 @@ def _eigvalsh_descending(a: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Bipartite density matrix together with its subsystem dimensions.
 
-    ``mat`` is a square complex matrix of dimension ``d_a * d_b`` for
-    ``dims = (d_a, d_b)``. The constructor validates finiteness, the dims,
-    Hermiticity, unit trace and positive semidefiniteness against the module's
-    fixed thresholds and stores a read-only copy, so instances are immutable
-    and safe to share across threads; functions that take one trust these
-    checks. ``_from_psd`` trusts its caller instead: it serves
+    ``mat`` is a square matrix of dimension ``d_a * d_b`` for
+    ``dims = (d_a, d_b)``, complex from the constructor, which validates
+    finiteness, the dims, Hermiticity, unit trace and positive
+    semidefiniteness against the module's fixed thresholds and stores a
+    read-only copy, so instances are immutable and safe to share across
+    threads; functions that take one trust these checks. ``_from_psd``
+    trusts its caller instead: it serves
     :meth:`PureState.to_density`, :func:`entmono.tcm.reduce_atom_field`,
     :func:`entmono.tcm.run_trace` and :func:`entmono.states.isotropic_state`,
     which each build a fresh Gram matrix or mixture from a validated vector,
-    an evolved state or ``(d, F)``.
+    an evolved state or ``(d, F)``. A trusted state keeps its caller's dtype:
+    only :func:`entmono.tcm.run_trace` builds a real ``float64`` one, in its
+    real gauge, and every other state is complex. numpy picks LAPACK's real
+    or complex symmetric solver from that dtype.
 
     :func:`pt_spectrum` keeps the partial-transpose spectrum on the instance,
     read-only, the first time it is asked for, so every state monotone of one

@@ -19,14 +19,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, _as_float, _is_integer, max_entangled_vector
+from .linalg import (MAX_COUNT, DensityMatrix, PureState, _as_float, _is_integer,
+                     max_entangled_vector)
 
 
-def _check_d(d: int) -> int:
+def _check_d(d: int, allocates: bool = False) -> int:
     """``d`` as an int: an integer ``>= 2`` whose ``d (d + 1)``, the largest
-    product the closed forms turn into a float, is a finite float."""
+    product the closed forms turn into a float, is a finite float. With
+    ``allocates``, for the functions that build ``d * d``-long arrays, the
+    dimension ``d * d`` must also be at most ``MAX_COUNT``, refused by name
+    before anything is allocated."""
     if not _is_integer(d) or d < 2:
         raise ValueError(f"isotropic dimension d must be an integer >= 2, got {d!r}")
+    if allocates and int(d) * int(d) > MAX_COUNT:
+        raise ValueError(f"isotropic dimension d must be at most {math.isqrt(MAX_COUNT)} "
+                         f"to build a state, so d * d <= {MAX_COUNT}; got {d!r}")
     if int(d) * (int(d) + 1) > sys.float_info.max:
         raise ValueError("isotropic dimension d must be <= 1.34e154, so d (d + 1) is a float")
     return int(d)
@@ -48,8 +55,9 @@ def mixing_parameter(d: int, fidelity: float) -> float:
 
 
 def max_entangled(d: int) -> PureState:
-    """The maximally entangled state ``sum_i |ii> / sqrt(d)`` on ``d x d``."""
-    d = _check_d(d)
+    """The maximally entangled state ``sum_i |ii> / sqrt(d)`` on ``d x d``.
+    ``d * d`` must be at most :data:`~entmono.linalg.MAX_COUNT`."""
+    d = _check_d(d, allocates=True)
     return PureState(max_entangled_vector(d), (d, d))
 
 
@@ -60,9 +68,10 @@ def isotropic_state(d: int, fidelity: float) -> DensityMatrix:
     non-negative over the whole range of ``lam``, and ``d`` and the fidelity
     are checked by :func:`mixing_parameter`, so the matrix is a state by
     construction and the checks of :class:`DensityMatrix` are skipped.
+    ``d * d`` must be at most :data:`~entmono.linalg.MAX_COUNT`.
     """
+    d = _check_d(d, allocates=True)
     lam = mixing_parameter(d, fidelity)
-    d = int(d)
     vec = max_entangled_vector(d)
     mat = (1.0 - lam) / (d * d) * np.eye(d * d, dtype=np.complex128)
     mat += lam * np.outer(vec, vec.conj())

@@ -23,6 +23,20 @@ Tracing out one atom of the evolved pure state leaves an atom-field density
 matrix of rank at most two, the structure that makes the tangle bound a
 meaningful probe of the collapse and revival dynamics.
 
+Every evolved state is real up to local phases: its amplitudes are
+``(gg, ge, eg, ee) = (g, -i h, -i h, r)`` with ``g``, ``h`` and ``r`` real.
+:func:`run_trace` therefore solves in a real gauge. It multiplies the
+atom-2-excited amplitudes by ``i``, a local unitary on atom 2, which is the
+A side of the atom-field state, and the atom-1-excited branch by ``i``, which
+leaves that branch's projector as it is. Each atom-field state is then a real
+symmetric matrix, and LAPACK's real solver runs in place of the complex one,
+for about a quarter of the flops. The partial transpose is conjugated by
+the same local unitary, so its spectrum does not change, and the 2 x 2 branch
+Gram matrices are unitarily similar to those of the physical basis, so rank
+and purity do not change either; all three move only by rounding.
+:func:`evolve` and :func:`reduce_atom_field` stay in the physical basis and
+return complex arrays.
+
 The Fock cutoff ``n_max`` has one rule, on one fixed threshold
 ``TRUNCATION_TOL = 1e-6``: the coherent amplitudes ``c_0 .. c_{n_max - 2}``
 that :func:`evolve` starts from must keep at least ``1 - TRUNCATION_TOL`` of
@@ -218,23 +232,38 @@ class TcmTrace:
 def run_trace(cfg: TcmConfig) -> TcmTrace:
     """Full pipeline: evolve, reduce, evaluate the tangle bound per time.
 
+    Everything here runs in the real gauge of the module docstring: the
+    atom-2-excited columns and the atom-1-excited branch of each state's
+    branch factors are multiplied by ``i``, which only swaps and negates real
+    and imaginary parts and leaves zero imaginary parts, so the factors are
+    taken as real ``float64`` arrays and every eigensolve is real symmetric.
+    No result changes beyond rounding: the local phase on atom 2 conjugates
+    each partial transpose by a unitary, the branch phase keeps its branch's
+    projector, and the new Gram matrices are unitarily similar to the old
+    ones. :func:`evolve` and :func:`reduce_atom_field` stay in the physical
+    basis.
+
     Rank and purity come from the 2 x 2 Gram matrices of the atom-1 branches,
     which share the atom-field state's nonzero spectrum. Each atom-field state
-    is the trusted Gram matrix ``f^T f^*`` of its branch factor ``f``, as in
+    is the trusted Gram matrix ``f^T f`` of its real branch factor ``f``, as in
     :func:`reduce_atom_field`, without that function's check of the total
     state: :func:`evolve` built it, with unit norm, from a configuration
     whose one cutoff rule guarantees that, so nothing here can raise a
     truncation error. The batched 2 x 2 eigensolve goes through
     :mod:`entmono.linalg`'s one solver rule, so a LAPACK failure is a
     :class:`~entmono.linalg.ConvergenceError`. Partial transposes go one point
-    at a time, as stacking them needs O(nt n_max^2) memory.
+    at a time, each one real symmetric eigensolve, as stacking them needs
+    O(nt n_max^2) memory.
     """
     states = evolve(cfg)
-    branches = states.reshape(states.shape[0], 2, -1)
-    gram = _solve(np.linalg.eigvalsh, branches @ branches.conj().transpose(0, 2, 1))
+    x = states.reshape(states.shape[0], 2, 2, -1)  # axes (t, s1, s2, n)
+    x[:, :, 1] *= 1j  # atom 2 excited: a local phase on the A side
+    x[:, 1] *= 1j  # atom 1 excited: a phase of the whole branch
+    branches = np.ascontiguousarray(x.real).reshape(states.shape[0], 2, -1)
+    gram = _solve(np.linalg.eigvalsh, branches @ branches.transpose(0, 2, 1))
     rank = np.sum(gram > zero_cutoff(gram), axis=1)
     purity = np.sum(gram * gram, axis=1)
     dims = (2, cfg.n_max + 1)
-    n2pt = np.array([tangle_lower_bound(DensityMatrix._from_psd(f.T @ f.conj(), dims))
+    n2pt = np.array([tangle_lower_bound(DensityMatrix._from_psd(f.T @ f, dims))
                      for f in branches])
     return TcmTrace(gt=cfg.t_grid.copy(), n2pt=n2pt, rank_estimate=rank, purity=purity)

@@ -24,13 +24,14 @@ from entmono import (
     isotropic_state,
     isotropic_tangle_bound,
     majorizes,
+    max_entangled,
     mixing_parameter,
     monotone_report,
     neg_pnorm,
     positive_part,
     pth_power,
 )
-from entmono.convex_roof import Ensemble, RoofConfig
+from entmono.convex_roof import Ensemble, RoofConfig, random_isometry
 from entmono.linalg import MAX_COUNT
 from entmono.states import isotropic_pt_spectrum
 
@@ -71,6 +72,10 @@ COUNTS = {  # name -> (call of a count, the argument its error names)
     "RoofConfig_restarts": (lambda n: RoofConfig(restarts=n), "restarts"),
     "RoofConfig_max_iters": (lambda n: RoofConfig(max_iters=n), "max_iters"),
     "RoofConfig_ensemble_size": (lambda n: RoofConfig(ensemble_size=n), "ensemble_size"),
+    "isotropic_state": (lambda d: isotropic_state(d, 0.5), "isotropic dimension d"),
+    "max_entangled": (lambda d: max_entangled(d), "isotropic dimension d"),
+    "random_isometry_m": (lambda m: random_isometry(m, 2, np.random.default_rng(0)), "m"),
+    "random_isometry_r": (lambda r: random_isometry(5, r, np.random.default_rng(0)), "r"),
 }
 
 
@@ -83,6 +88,17 @@ def test_count_beyond_the_bound_is_refused_by_name(name, count):
     call, arg = COUNTS[name]
     with pytest.raises(ValueError, match=f"^{arg} must be .*{MAX_COUNT}"):
         call(count)
+
+
+@pytest.mark.parametrize("call, arg", [
+    (lambda: isotropic_state(46341, 0.5), "isotropic dimension d"),  # 46341**2 > MAX_COUNT
+    (lambda: max_entangled(46341), "isotropic dimension d"),
+    (lambda: random_isometry(-1, -2, np.random.default_rng(0)), "m"),
+    (lambda: random_isometry(3, -2, np.random.default_rng(0)), "r"),
+], ids=["isotropic_state", "max_entangled", "random_isometry_m", "random_isometry_r"])
+def test_a_size_just_out_of_range_is_refused_by_name(call, arg):
+    with pytest.raises(ValueError, match=f"^{arg} must be .*{MAX_COUNT}"):
+        call()
 
 
 def test_counts_up_to_the_bound_configure_a_search():

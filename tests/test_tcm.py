@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmono import (
     DimensionMismatchError,
@@ -17,6 +19,7 @@ from entmono import (
     tangle_lower_bound,
 )
 from entmono import tcm
+from entmono.linalg import zero_cutoff
 
 
 def excitation_expectation(state, n_max: int) -> float:
@@ -303,6 +306,33 @@ class TestRunTrace:
             rho = reduce_atom_field(row, 30)
             bound = tangle_lower_bound(rho)
             assert bound <= minimize_roof(rho, roof_cfg).value + 1e-6
+
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(st.floats(0.0, 25.0),
+           st.lists(st.floats(0.0, 30.0), min_size=1, max_size=3, unique=True))
+    def test_real_gauge_matches_the_physical_states(self, nbar, times):
+        # run_trace solves real matrices in a local-phase gauge; the public
+        # path reduces the complex evolved states and solves them as they are
+        cfg = TcmConfig(nbar=nbar, n_max=60, t_grid=np.sort(times))
+        trace = run_trace(cfg)
+        for k, row in enumerate(evolve(cfg)):
+            rho = reduce_atom_field(row, 60)
+            assert abs(trace.n2pt[k] - tangle_lower_bound(rho)) <= 1e-14
+            w = hermitian_eigenvalues(rho.mat)
+            assert trace.rank_estimate[k] == np.sum(w > zero_cutoff(w))
+            assert abs(trace.purity[k] - np.sum(w * w)) <= 1e-14
+
+    def test_solves_only_real_matrices(self, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def record(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        run_trace(TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 10.0, 6)))
+        assert seen == [np.dtype(np.float64)] * (1 + 6)  # the 2 x 2 Grams, then each point
 
     def test_rows_iteration(self):
         cfg = TcmConfig(nbar=4.0, n_max=30, t_grid=np.linspace(0.0, 5.0, 4))
